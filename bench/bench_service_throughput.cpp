@@ -60,8 +60,7 @@ struct Scenario {
   Strategy strategy;
   std::size_t max_batch;
   RequestKind kind;
-  bool overlap;
-  std::size_t depth = 2;  // session-ring depth (2 = classic double buffer)
+  std::size_t depth = 2;  // session-ring depth (1 = serial, 2 = double buffer)
   bool hetero = false;    // back half of the farm on UART at 125 MHz
   service::Placement placement = service::Placement::kLoadAware;
 };
@@ -90,7 +89,6 @@ Run run_scenario(const bfv::Bfv& scheme, const bfv::RelinKeys& rk, const Scenari
   opts.strategy = sc.strategy;
   opts.max_batch = sc.max_batch;
   opts.relin_keys = &rk;
-  opts.overlap_rounds = sc.overlap;
   opts.pipeline_depth = sc.depth;
   opts.placement = sc.placement;
   opts.trace = trace;
@@ -134,31 +132,26 @@ int main(int argc, char** argv) {
     requests.push_back({ca, cb, RequestKind::kEvalMult});
 
   const Scenario scenarios[] = {
-      {"serial_1chip", 1, Strategy::kBatchPerChip, 1, RequestKind::kEvalMult, true},
-      {"batched_1chip", 1, Strategy::kBatchPerChip, kRequests, RequestKind::kEvalMult,
-       true},
-      {"batched_4chip", 4, Strategy::kBatchPerChip, kRequests, RequestKind::kEvalMult,
-       true},
-      {"sharded_4chip", 4, Strategy::kShardTowers, kRequests, RequestKind::kEvalMult,
-       true},
+      {"serial_1chip", 1, Strategy::kBatchPerChip, 1, RequestKind::kEvalMult},
+      {"batched_1chip", 1, Strategy::kBatchPerChip, kRequests, RequestKind::kEvalMult},
+      {"batched_4chip", 4, Strategy::kBatchPerChip, kRequests, RequestKind::kEvalMult},
+      {"sharded_4chip", 4, Strategy::kShardTowers, kRequests, RequestKind::kEvalMult},
       {"relin_batched_1chip", 1, Strategy::kBatchPerChip, kRequests,
-       RequestKind::kRelinearize, true},
+       RequestKind::kRelinearize},
       {"multrelin_noverlap_1chip", 1, Strategy::kBatchPerChip, 2,
-       RequestKind::kMultRelin, false},
+       RequestKind::kMultRelin, /*depth=*/1},
       {"multrelin_overlap_1chip", 1, Strategy::kBatchPerChip, 2,
-       RequestKind::kMultRelin, true},
+       RequestKind::kMultRelin},
       {"multrelin_overlap_4chip", 4, Strategy::kShardTowers, 2,
-       RequestKind::kMultRelin, true},
+       RequestKind::kMultRelin},
       {"multrelin_depth4_1chip", 1, Strategy::kBatchPerChip, 2,
-       RequestKind::kMultRelin, true, /*depth=*/4},
+       RequestKind::kMultRelin, /*depth=*/4},
       {"hetero_roundrobin_4chip", 4, Strategy::kShardTowers, kRequests,
-       RequestKind::kEvalMult, true, 2, /*hetero=*/true,
-       service::Placement::kRoundRobin},
+       RequestKind::kEvalMult, 2, /*hetero=*/true, service::Placement::kRoundRobin},
       {"hetero_loadaware_4chip", 4, Strategy::kShardTowers, kRequests,
-       RequestKind::kEvalMult, true, 2, /*hetero=*/true,
-       service::Placement::kLoadAware},
+       RequestKind::kEvalMult, 2, /*hetero=*/true, service::Placement::kLoadAware},
       {"hetero_loadaware_depth4_4chip", 4, Strategy::kShardTowers, 2,
-       RequestKind::kMultRelin, true, /*depth=*/4, /*hetero=*/true,
+       RequestKind::kMultRelin, /*depth=*/4, /*hetero=*/true,
        service::Placement::kLoadAware},
   };
 

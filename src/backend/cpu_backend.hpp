@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "backend/exec_policy.hpp"
-#include "backend/thread_pool.hpp"
 #include "poly/merged_ntt.hpp"
 #include "poly/rns.hpp"
 
@@ -27,9 +26,7 @@ using poly::RnsPoly;
 using nt::u64;
 
 /// Tensor workload for one (n, towers) configuration.  Carries an
-/// ExecPolicy so callers pick serial vs pooled execution at construction;
-/// the legacy explicit-pool multiply overload remains for callers that
-/// manage their own ThreadPool.
+/// ExecPolicy so callers pick serial vs pooled execution at construction.
 class CpuTensorKernel {
  public:
   CpuTensorKernel(std::size_t n, const std::vector<u64>& moduli,
@@ -47,17 +44,10 @@ class CpuTensorKernel {
   Output multiply(const RnsPoly& a0, const RnsPoly& a1, const RnsPoly& b0,
                   const RnsPoly& b1) const;
 
-  /// Legacy overload: same tensor, drained into the caller's pool.
-  Output multiply(const RnsPoly& a0, const RnsPoly& a1, const RnsPoly& b0,
-                  const RnsPoly& b1, ThreadPool& pool) const;
-
   /// 64-bit modular-multiply count of one tensor (for the power model).
   [[nodiscard]] std::uint64_t modmul_count() const;
 
  private:
-  Output multiply_on(const RnsPoly& a0, const RnsPoly& a1, const RnsPoly& b0,
-                     const RnsPoly& b1, const Executor& exec) const;
-
   std::size_t n_;
   // Fused/SIMD tower engines (MergedNtt64); NegacyclicNtt64 in poly/ntt.hpp
   // is the unfused scalar reference the differential tests pin this to.

@@ -64,16 +64,15 @@ class TransportDelta {
   TransportDelta& operator=(const TransportDelta&) = delete;
   ~TransportDelta() {
     if (r_ == nullptr) return;
-    const TransportCounters& t = drv_.transport();
-    r_->batched_writes += t.batched_writes - t0_.batched_writes;
-    r_->twiddle_cache_hits += t.twiddle_cache_hits - t0_.twiddle_cache_hits;
-    r_->key_bytes_saved += t.key_bytes_saved - t0_.key_bytes_saved;
+    SessionCounters d = drv_.transport();
+    d -= t0_;
+    *r_ += d;
   }
 
  private:
   ChipMulReport* r_;
   const HostDriver& drv_;
-  TransportCounters t0_;
+  SessionCounters t0_;
 };
 
 }  // namespace

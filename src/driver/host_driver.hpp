@@ -15,6 +15,7 @@
 
 #include "chip/chip.hpp"
 #include "chip/cm0.hpp"
+#include "driver/session_counters.hpp"
 #include "obs/trace.hpp"
 #include "poly/merged_ntt.hpp"
 
@@ -64,22 +65,6 @@ struct ExecReport {
     cm0_cycles += o.cm0_cycles;
     return *this;
   }
-};
-
-/// Cumulative link-transport optimization counters for one driver.  The
-/// evaluator snapshots these around each phase and reports the deltas in
-/// ChipMulReport, from where they roll up into ServiceStats and the
-/// Prometheus exposition.
-struct TransportCounters {
-  /// Individual register writes that traveled inside a coalesced burst
-  /// frame instead of as standalone 9-byte write transactions.
-  std::uint64_t batched_writes = 0;
-  /// Timed ring configurations skipped because the chip's twiddle ROM (and
-  /// ring registers) already held the requested (q, n, psi).
-  std::uint64_t twiddle_cache_hits = 0;
-  /// Wire bytes avoided by shipping seed-expandable key towers as compact
-  /// seed frames instead of full coefficient bursts.
-  std::uint64_t key_bytes_saved = 0;
 };
 
 /// The bring-up PC's side of the protocol: register programming, twiddle
@@ -187,8 +172,10 @@ class HostDriver {
     trace_chip_ = chip;
   }
 
-  /// Cumulative transport-optimization counters (see TransportCounters).
-  [[nodiscard]] const TransportCounters& transport() const noexcept {
+  /// Cumulative transport-optimization counters: only batched_writes,
+  /// twiddle_cache_hits and key_bytes_saved move.  The evaluator snapshots
+  /// them around each phase and reports the deltas in ChipMulReport.
+  [[nodiscard]] const SessionCounters& transport() const noexcept {
     return transport_;
   }
 
@@ -238,7 +225,7 @@ class HostDriver {
   std::uint32_t probe_nonce_ = 0;
   obs::TraceRecorder* trace_ = nullptr;
   std::uint32_t trace_chip_ = 0;
-  TransportCounters transport_;
+  SessionCounters transport_;
   bool batching_ = true;
   bool twiddle_cache_ = true;
   bool key_compression_ = true;

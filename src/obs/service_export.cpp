@@ -2,6 +2,8 @@
 
 #include <string>
 
+#include "driver/session_counters.hpp"
+
 namespace cofhee::obs {
 
 namespace {
@@ -71,25 +73,6 @@ void export_service_stats(const service::ServiceStats& st, MetricsRegistry& reg)
     static_cast<double>(st.overlapped_rounds));
   c("cofhee_service_sessions_total", "Chip sessions, summed over chips.",
     static_cast<double>(st.sessions));
-  c("cofhee_service_ks_products_total", "Algorithm-2 key-switch PolyMuls.",
-    static_cast<double>(st.ks_products));
-  c("cofhee_service_key_uploads_total", "Relin-key tower uploads paid.",
-    static_cast<double>(st.key_uploads));
-  c("cofhee_service_key_cache_hits_total",
-    "Relin-key tower uploads skipped by the batch-aware key cache.",
-    static_cast<double>(st.key_cache_hits));
-  c("cofhee_service_sram_reuses_total",
-    "Operand uploads replaced by on-chip DMA duplication.",
-    static_cast<double>(st.sram_reuses));
-  c("cofhee_service_batched_writes_total",
-    "Register writes coalesced into burst frames by link batching.",
-    static_cast<double>(st.batched_writes));
-  c("cofhee_service_twiddle_cache_hits_total",
-    "Ring configurations skipped by the twiddle-ROM cache.",
-    static_cast<double>(st.twiddle_cache_hits));
-  c("cofhee_service_key_bytes_saved_total",
-    "Wire bytes saved by seed-compressed relin-key uploads.",
-    static_cast<double>(st.key_bytes_saved));
   c("cofhee_service_faults_injected_total", "Injected faults the links fired.",
     static_cast<double>(st.faults_injected));
   c("cofhee_service_retries_total", "Intra-stage retries (items re-placed).",
@@ -123,9 +106,18 @@ void export_service_stats(const service::ServiceStats& st, MetricsRegistry& reg)
     "Requests rejected because their batch could never fit the queue.",
     static_cast<double>(st.rejected_batch_too_large));
 
+  // Session counters (driver/session_counters.hpp): one service-wide and
+  // one per-chip family per row of the list.
+#define COFHEE_EXPORT_SESSION(name, type, help)                              \
+  c("cofhee_service_" #name "_total", help, static_cast<double>(st.name)); \
+  for (std::size_t i = 0; i < st.per_chip.size(); ++i)                      \
+    reg.counter("cofhee_chip_" #name "_total", help,                        \
+                {{"chip", std::to_string(i)}})                              \
+        .set(static_cast<double>(st.per_chip[i].name));
+  COFHEE_SESSION_COUNTERS(COFHEE_EXPORT_SESSION)
+#undef COFHEE_EXPORT_SESSION
+
   // Time totals (the three axes; see service/service_stats.hpp).
-  c("cofhee_service_io_seconds_total",
-    "Simulated serial-link transport, summed over chips.", st.io_seconds);
   c("cofhee_service_compute_seconds_total",
     "Simulated chip compute, summed over chips.", st.compute_seconds);
   c("cofhee_service_sim_host_prep_seconds_total",
@@ -174,25 +166,8 @@ void export_service_stats(const service::ServiceStats& st, MetricsRegistry& reg)
        static_cast<double>(cs.tower_runs));
     cc("cofhee_chip_relin_tower_runs_total", "Relinearization tower runs.",
        static_cast<double>(cs.relin_tower_runs));
-    cc("cofhee_chip_ks_products_total", "Key-switch PolyMuls on this chip.",
-       static_cast<double>(cs.ks_products));
-    cc("cofhee_chip_key_uploads_total", "Relin-key tower uploads paid.",
-       static_cast<double>(cs.key_uploads));
-    cc("cofhee_chip_key_cache_hits_total", "Relin-key uploads skipped by the cache.",
-       static_cast<double>(cs.key_cache_hits));
     cc("cofhee_chip_ring_configs_total", "Ring reconfigurations paid.",
        static_cast<double>(cs.ring_configs));
-    cc("cofhee_chip_sram_reuses_total", "Uploads turned into on-chip DMA copies.",
-       static_cast<double>(cs.sram_reuses));
-    cc("cofhee_chip_batched_writes_total",
-       "Register writes coalesced into burst frames.",
-       static_cast<double>(cs.batched_writes));
-    cc("cofhee_chip_twiddle_cache_hits_total",
-       "Ring configurations skipped by the twiddle-ROM cache.",
-       static_cast<double>(cs.twiddle_cache_hits));
-    cc("cofhee_chip_key_bytes_saved_total",
-       "Wire bytes saved by seed-compressed key uploads.",
-       static_cast<double>(cs.key_bytes_saved));
     cc("cofhee_chip_faults_total", "Typed faults this chip surfaced.",
        static_cast<double>(cs.faults));
     cc("cofhee_chip_quarantines_total", "Times this chip was quarantined.",
@@ -203,8 +178,6 @@ void export_service_stats(const service::ServiceStats& st, MetricsRegistry& reg)
        static_cast<double>(cs.probes));
     cc("cofhee_chip_cycles_total", "PE cycles at the configured clock.",
        static_cast<double>(cs.chip_cycles));
-    cc("cofhee_chip_io_seconds_total", "Simulated serial-link transport.",
-       cs.io_seconds);
     cc("cofhee_chip_compute_seconds_total", "Simulated chip compute.",
        cs.compute_seconds);
     cc("cofhee_chip_busy_wall_seconds_total", "Wall seconds inside sessions.",

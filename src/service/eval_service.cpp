@@ -38,13 +38,19 @@ bool is_fault(const std::exception_ptr& e) {
   }
 }
 
+/// Work counters one chip's stage share reports into note_chip_session.
+struct StageCounters {
+  std::uint64_t requests = 0;
+  std::uint64_t tower_runs = 0;
+  std::uint64_t relin_tower_runs = 0;
+};
+
 }  // namespace
 
 EvalService::EvalService(const bfv::Bfv& scheme, ChipFarm& farm, ServiceOptions opts)
     : scheme_(scheme),
       farm_(farm),
       opts_(opts),
-      depth_(1),
       exec_(opts.pooled_dispatch && farm.size() > 1
                 ? backend::ExecPolicy::pooled(farm.size())
                 : backend::ExecPolicy::serial()),
@@ -91,7 +97,6 @@ EvalService::EvalService(const bfv::Bfv& scheme, ChipFarm& farm, ServiceOptions 
   opts_.cost_ewma_alpha = std::clamp(opts_.cost_ewma_alpha, 0.0, 1.0);
   health_.resize(farm_.size());
   tenancy_enabled_ = opts_.tenancy.enabled();
-  depth_ = opts_.overlap_rounds ? opts_.pipeline_depth : 1;
   stats_.per_chip.resize(farm_.size());
   stats_.per_class.resize(kNumPriorities);
   class_latency_.resize(kNumPriorities);
@@ -357,11 +362,12 @@ EvalService::TenantAgg& EvalService::tenant_agg(std::uint64_t tenant) {
 }
 
 void EvalService::dispatcher_loop() {
-  // K-slot session ring: up to depth_ - 1 sessions keep their chip stages
-  // in flight (chained back-to-back, since the chips are an exclusive
+  // K-slot session ring: up to K - 1 sessions keep their chip stages in
+  // flight (chained back-to-back, since the chips are an exclusive
   // resource) while this thread prepares new rounds ahead of them and
-  // defers their finishes.  depth_ == 2 is the classic two-slot double
-  // buffer; depth_ == 1 runs every phase back-to-back.
+  // defers their finishes.  K == 2 is the classic two-slot double buffer;
+  // K == 1 runs every phase back-to-back on this thread.
+  const std::size_t depth = opts_.pipeline_depth;
   std::deque<std::unique_ptr<Session>> ring;
   std::shared_future<void> chip_tail;  // most recently launched chip stage
   auto chip_stage_guarded = [this](Session& s) {
@@ -378,7 +384,9 @@ void EvalService::dispatcher_loop() {
   auto retire_oldest = [&] {
     std::unique_ptr<Session> s = std::move(ring.front());
     ring.pop_front();
-    s->chip.wait();  // never throws; errors were folded into s->errs
+    // Never throws (errors were folded into s->errs); invalid at depth 1,
+    // where the chip stage already ran inline.
+    if (s->chip.valid()) s->chip.wait();
     {
       std::lock_guard<std::mutex> lk(mu_);
       const double start = std::max(s->model_ready, model_chip_);
@@ -438,9 +446,9 @@ void EvalService::dispatcher_loop() {
           stats_.overlap_wall_seconds += prep_wall;
         }
       }
-      if (depth_ > 1) {
+      if (depth > 1) {
         // Chain this round's chip stage behind the previous one (chips are
-        // exclusive) and slot the session into the ring.
+        // exclusive).
         Session* raw = cur.get();
         std::shared_future<void> prev = chip_tail;
         cur->chip = std::async(std::launch::async,
@@ -450,22 +458,11 @@ void EvalService::dispatcher_loop() {
                                })
                         .share();
         chip_tail = cur->chip;
-        ring.push_back(std::move(cur));
-        while (ring.size() > depth_ - 1) retire_oldest();
       } else {
         chip_stage_guarded(*cur);
-        {
-          std::lock_guard<std::mutex> lk(mu_);
-          const double start = std::max(cur->model_ready, model_chip_);
-          if (opts_.trace != nullptr && cur->sim_chip > 0)
-            opts_.trace->span_sim_at(obs::TraceRecorder::kSimTrackChipModel,
-                                     "model.chip", "model", start, cur->sim_chip);
-          cur->model_chip_end = start + cur->sim_chip;
-          model_chip_ = cur->model_chip_end;
-          stats_.sim_chip_round_seconds += cur->sim_chip;
-        }
-        finish_session(*cur, false);
       }
+      ring.push_back(std::move(cur));
+      while (ring.size() > depth - 1) retire_oldest();
     } else {
       // Queue ran dry (or shutdown): drain one pipelined session, then
       // re-check for new arrivals.
@@ -568,12 +565,7 @@ void EvalService::run_chip_stage(Session& s) {
   for (std::size_t r = 0; r < count; ++r)
     if (s.errs[r] == nullptr && s.round[r].req.kind != RequestKind::kRelinearize)
       mult_live.push_back(r);
-  if (!mult_live.empty()) {
-    if (opts_.strategy == Strategy::kBatchPerChip)
-      run_mult_batch_per_chip(s, mult_live, chip_sim_a);
-    else
-      run_mult_shard_towers(s, mult_live, chip_sim_a);
-  }
+  if (!mult_live.empty()) run_stage(s, mult_live, chip_sim_a, /*key_switch=*/false);
 
   // Mid-round host work (kMultRelin): reassemble the tensor, t/q-round it
   // to a 3-element ciphertext, digit-decompose c2 for the key switch.
@@ -608,10 +600,7 @@ void EvalService::run_chip_stage(Session& s) {
       relin_live.push_back(r);
   if (!relin_live.empty()) {
     for (std::size_t r : relin_live) s.slots[r].relin_accs.resize(ctx.q_basis().size());
-    if (opts_.strategy == Strategy::kBatchPerChip)
-      run_relin_batch_per_chip(s, relin_live, chip_sim_b);
-    else
-      run_relin_shard_towers(s, relin_live, chip_sim_b);
+    run_stage(s, relin_live, chip_sim_b, /*key_switch=*/true);
     // Host-side accumulation of the read-back key-switch products runs
     // inside the sessions (pointwise adds per digit, component, tower).
     stage_host_ops += static_cast<double>(relin_live.size()) * 2.0 * n * qt * nd;
@@ -790,14 +779,63 @@ std::vector<std::vector<std::size_t>> EvalService::place_items(
   return mine;
 }
 
-template <typename Work>
 void EvalService::run_stage(Session& s, const std::vector<std::size_t>& live,
-                            std::vector<double>& chip_sim, std::size_t items,
-                            bool per_item_errors, Work&& work) {
-  // Stage-local item ids (requests under the batch strategies, towers under
-  // the shard strategies) still waiting for a successful chip share.
-  std::vector<std::size_t> todo(items);
-  for (std::size_t i = 0; i < items; ++i) todo[i] = i;
+                            std::vector<double>& chip_sim, bool key_switch) {
+  using driver::ChipBfvEvaluator;
+  const auto& ctx = scheme_.context();
+  const std::size_t towers =
+      key_switch ? ctx.q_basis().size() : ctx.ext_basis().size();
+  // The strategy only picks which axis of the (tower x request) work is
+  // placed: requests (each chip runs every tower for its requests, so a
+  // chip's failure costs only its own requests) or towers (each chip runs
+  // its towers for every live request, so a lost shard starves the round).
+  const bool place_requests = opts_.strategy == Strategy::kBatchPerChip;
+  // One chip's share as a session, tower-outer / request-inner: one ring
+  // configuration per tower serves every request of the share.
+  const auto work = [&](std::size_t c, const std::vector<std::size_t>& placed,
+                        driver::ChipMulReport& rep, StageCounters& n) {
+    std::vector<std::size_t> reqs, tws;
+    if (place_requests) {
+      for (std::size_t i : placed) reqs.push_back(live[i]);
+      for (std::size_t tw = 0; tw < towers; ++tw) tws.push_back(tw);
+    } else {
+      reqs = live;
+      tws = placed;
+    }
+    auto& drv = farm_.driver(c);
+    n.requests = reqs.size();
+    // Tensor uploads clobber SP1; the key switch instead runs the share as
+    // one group per tower, sharing key uploads across it (SP1 key cache).
+    std::vector<const driver::RelinOperands*> group;
+    if (key_switch) {
+      for (std::size_t r : reqs) group.push_back(&s.slots[r].relin);
+    } else {
+      key_caches_[c].invalidate();
+    }
+    for (std::size_t tw : tws) {
+      if (key_switch) {
+        ChipBfvEvaluator::configure_relin_tower(drv, scheme_, tw, &rep);
+        auto accs = ChipBfvEvaluator::relin_tower_batch(
+            drv, scheme_, group, *opts_.relin_keys, tw, &key_caches_[c], &rep);
+        for (std::size_t j = 0; j < reqs.size(); ++j)
+          s.slots[reqs[j]].relin_accs[tw] = std::move(accs[j]);
+        n.relin_tower_runs += reqs.size();
+      } else {
+        ChipBfvEvaluator::configure_tower(drv, scheme_, tw, &rep);
+        for (std::size_t r : reqs) {
+          ChipBfvEvaluator::load_tower(drv, s.slots[r].mult, tw, &rep);
+          ChipBfvEvaluator::execute_tower(drv, &rep);
+          s.slots[r].tensors[tw] = ChipBfvEvaluator::read_tower(drv, &rep);
+          ++n.tower_runs;
+        }
+      }
+    }
+  };
+
+  // Stage-local item ids (indices into `live` when requests are placed,
+  // tower indices otherwise) still waiting for a successful chip share.
+  std::vector<std::size_t> todo(place_requests ? live.size() : towers);
+  for (std::size_t i = 0; i < todo.size(); ++i) todo[i] = i;
   // Chips that faulted during this stage: blacklisted from re-placement so
   // a retry lands elsewhere (place_items drops the blacklist when it would
   // empty the farm -- a lone chip must get to retry its own transient).
@@ -885,14 +923,12 @@ void EvalService::run_stage(Session& s, const std::vector<std::size_t>& live,
       }
       // Out of retries, or not a fault at all: surface the originating
       // error.  First error wins -- nothing may overwrite it later.
-      if (per_item_errors) {
-        // Batch strategies: only the chip's own placed requests are lost.
+      if (place_requests) {
         for (std::size_t j : assign[c]) {
           const std::size_t r = live[todo[j]];
           if (s.errs[r] == nullptr) s.errs[r] = chip_errs[c];
         }
       } else {
-        // Tower shards: a lost shard starves every request in the round.
         for (std::size_t r : live)
           if (s.errs[r] == nullptr) s.errs[r] = chip_errs[c];
         round_poisoned = true;
@@ -903,112 +939,6 @@ void EvalService::run_stage(Session& s, const std::vector<std::size_t>& live,
     std::sort(next_todo.begin(), next_todo.end());
     todo = std::move(next_todo);
   }
-}
-
-void EvalService::run_mult_batch_per_chip(Session& s,
-                                          const std::vector<std::size_t>& live,
-                                          std::vector<double>& chip_sim) {
-  using driver::ChipBfvEvaluator;
-  const std::size_t towers = scheme_.context().ext_basis().size();
-  // Whole requests onto chips, then one tower-outer session per chip: one
-  // ring configuration serves the chip's whole share of the round.
-  run_stage(s, live, chip_sim, live.size(), /*per_item_errors=*/true,
-            [&](std::size_t c, const std::vector<std::size_t>& placed,
-                driver::ChipMulReport& rep, StageCounters& n) {
-              auto& drv = farm_.driver(c);
-              key_caches_[c].invalidate();  // tensor uploads clobber SP1
-              n.requests = placed.size();
-              for (std::size_t tw = 0; tw < towers; ++tw) {
-                ChipBfvEvaluator::configure_tower(drv, scheme_, tw, &rep);
-                for (std::size_t i : placed) {
-                  const std::size_t r = live[i];
-                  ChipBfvEvaluator::load_tower(drv, s.slots[r].mult, tw, &rep);
-                  ChipBfvEvaluator::execute_tower(drv, &rep);
-                  s.slots[r].tensors[tw] = ChipBfvEvaluator::read_tower(drv, &rep);
-                  ++n.tower_runs;
-                }
-              }
-            });
-}
-
-void EvalService::run_mult_shard_towers(Session& s,
-                                        const std::vector<std::size_t>& live,
-                                        std::vector<double>& chip_sim) {
-  using driver::ChipBfvEvaluator;
-  const std::size_t towers = scheme_.context().ext_basis().size();
-  // Towers onto chips: every chip configures its towers once each and runs
-  // them for every request in the round.
-  run_stage(s, live, chip_sim, towers, /*per_item_errors=*/false,
-            [&](std::size_t c, const std::vector<std::size_t>& placed,
-                driver::ChipMulReport& rep, StageCounters& n) {
-              auto& drv = farm_.driver(c);
-              key_caches_[c].invalidate();  // tensor uploads clobber SP1
-              n.requests = live.size();
-              for (std::size_t tw : placed) {
-                ChipBfvEvaluator::configure_tower(drv, scheme_, tw, &rep);
-                for (std::size_t r : live) {
-                  ChipBfvEvaluator::load_tower(drv, s.slots[r].mult, tw, &rep);
-                  ChipBfvEvaluator::execute_tower(drv, &rep);
-                  s.slots[r].tensors[tw] = ChipBfvEvaluator::read_tower(drv, &rep);
-                  ++n.tower_runs;
-                }
-              }
-            });
-}
-
-void EvalService::run_relin_batch_per_chip(Session& s,
-                                           const std::vector<std::size_t>& live,
-                                           std::vector<double>& chip_sim) {
-  using driver::ChipBfvEvaluator;
-  const std::size_t towers = scheme_.context().q_basis().size();
-  run_stage(s, live, chip_sim, live.size(), /*per_item_errors=*/true,
-            [&](std::size_t c, const std::vector<std::size_t>& placed,
-                driver::ChipMulReport& rep, StageCounters& n) {
-              auto& drv = farm_.driver(c);
-              // The chip's share of the round as one group per tower: the
-              // batched key switch shares key uploads across the group
-              // (SP1 key cache).
-              std::vector<const driver::RelinOperands*> group;
-              group.reserve(placed.size());
-              for (std::size_t i : placed) group.push_back(&s.slots[live[i]].relin);
-              n.requests = placed.size();
-              for (std::size_t tw = 0; tw < towers; ++tw) {
-                ChipBfvEvaluator::configure_relin_tower(drv, scheme_, tw, &rep);
-                auto accs = ChipBfvEvaluator::relin_tower_batch(
-                    drv, scheme_, group, *opts_.relin_keys, tw, &key_caches_[c],
-                    &rep);
-                for (std::size_t j = 0; j < placed.size(); ++j)
-                  s.slots[live[placed[j]]].relin_accs[tw] = std::move(accs[j]);
-                n.relin_tower_runs += group.size();
-              }
-            });
-}
-
-void EvalService::run_relin_shard_towers(Session& s,
-                                         const std::vector<std::size_t>& live,
-                                         std::vector<double>& chip_sim) {
-  using driver::ChipBfvEvaluator;
-  run_stage(s, live, chip_sim, scheme_.context().q_basis().size(),
-            /*per_item_errors=*/false,
-            [&](std::size_t c, const std::vector<std::size_t>& placed,
-                driver::ChipMulReport& rep, StageCounters& n) {
-              auto& drv = farm_.driver(c);
-              std::vector<const driver::RelinOperands*> group;
-              group.reserve(live.size());
-              for (std::size_t r : live) group.push_back(&s.slots[r].relin);
-              n.requests = live.size();
-              // Chip c owns its placed Q towers of every request's key
-              // switch.
-              for (std::size_t tw : placed) {
-                ChipBfvEvaluator::configure_relin_tower(drv, scheme_, tw, &rep);
-                auto accs = ChipBfvEvaluator::relin_tower_batch(
-                    drv, scheme_, group, *opts_.relin_keys, tw, &key_caches_[c],
-                    &rep);
-                for (std::size_t j = 0; j < live.size(); ++j)
-                  s.slots[live[j]].relin_accs[tw] = std::move(accs[j]);
-                n.relin_tower_runs += live.size();
-              }
-            });
 }
 
 void EvalService::note_chip_fault_locked(std::size_t chip) {
@@ -1091,27 +1021,13 @@ void EvalService::note_chip_session(std::size_t chip, const driver::ChipMulRepor
   c.requests += requests;
   c.tower_runs += tower_runs;
   c.relin_tower_runs += relin_tower_runs;
-  c.ks_products += rep.ks_products;
-  c.key_uploads += rep.key_uploads;
-  c.key_cache_hits += rep.key_cache_hits;
-  c.sram_reuses += rep.sram_reuses;
-  c.batched_writes += rep.batched_writes;
-  c.twiddle_cache_hits += rep.twiddle_cache_hits;
-  c.key_bytes_saved += rep.key_bytes_saved;
+  c += rep;
   c.ring_configs += rep.towers;
   c.chip_cycles += rep.chip_cycles;
-  c.io_seconds += rep.io_seconds;
   c.compute_seconds += compute_seconds;
   c.busy_wall_seconds += busy_wall_seconds;
   ++stats_.sessions;
-  stats_.ks_products += rep.ks_products;
-  stats_.key_uploads += rep.key_uploads;
-  stats_.key_cache_hits += rep.key_cache_hits;
-  stats_.sram_reuses += rep.sram_reuses;
-  stats_.batched_writes += rep.batched_writes;
-  stats_.twiddle_cache_hits += rep.twiddle_cache_hits;
-  stats_.key_bytes_saved += rep.key_bytes_saved;
-  stats_.io_seconds += rep.io_seconds;
+  stats_ += rep;
   stats_.compute_seconds += compute_seconds;
 }
 

@@ -38,8 +38,9 @@
 //    two-slot double buffer (depth 1 = fully serial reference);
 //  * batch-aware relin-key caching: one driver::RelinKeyCache per chip
 //    skips re-uploading key towers shared by consecutive key-switch
-//    products in a session (counted in ServiceStats::key_cache_hits,
-//    invalidated whenever tensor traffic clobbers SP1 or keys change).
+//    products in a session (counted as key-cache hits in the session
+//    counters, invalidated whenever tensor traffic clobbers SP1 or keys
+//    change).
 //
 // The healing layer (this PR's generation) makes the farm survivable: chip
 // and link faults (chip/fault.hpp -- corrupt frames, stalled links, dead
@@ -118,12 +119,6 @@ struct ServiceOptions {
   /// construction (std::invalid_argument on a level/ring mismatch).
   /// Submitting a relin request while this is null throws.
   const bfv::RelinKeys* relin_keys = nullptr;
-  /// Pipelined rounds: prepare round k host-side while earlier rounds'
-  /// chip stages are in flight, and defer finishes behind the session
-  /// ring.  false executes every phase back-to-back (the reference
-  /// schedule; results are bit-identical either way).  Equivalent to
-  /// pipeline_depth = 1 when false.
-  bool overlap_rounds = true;
   /// Pending-request capacity, counting queued requests AND requests
   /// already drained into in-flight rounds (so a deep pipeline cannot hold
   /// ~pipeline_depth x the bound); 0 means unbounded.  submit_batch()
@@ -148,10 +143,11 @@ struct ServiceOptions {
   /// model (the default) or the v1 round-robin stride.
   Placement placement = Placement::kLoadAware;
   /// Session-ring depth K: up to K-1 rounds keep their chip stages in
-  /// flight while the dispatcher prepares ahead and defers finishes.
-  /// 1 disables pipelining (fully serial reference), 2 reproduces the v1
-  /// two-slot double buffer.  Normalized to >= 1; ignored (treated as 1)
-  /// when overlap_rounds is false.
+  /// flight while the dispatcher prepares round k host-side ahead of them
+  /// and defers finishes.  1 executes every phase back-to-back on the
+  /// dispatcher (the fully serial reference schedule), 2 reproduces the v1
+  /// two-slot double buffer; results are bit-identical at every depth.
+  /// Normalized to >= 1.
   std::size_t pipeline_depth = 2;
   /// Most distinct tenant ids tracked individually in
   /// ServiceStats::per_tenant; later ids aggregate under
@@ -277,7 +273,7 @@ class EvalService {
     std::vector<Pending> round;
     std::vector<RoundSlot> slots;
     std::vector<std::exception_ptr> errs;
-    std::shared_future<void> chip;  // in-flight chip stage (pipelined mode)
+    std::shared_future<void> chip;  // in-flight chip stage (depth > 1 only)
     double sim_prep = 0;      // modeled host seconds, pre-chip
     double sim_chip = 0;      // round chip-stage span (simulated)
     double sim_finish = 0;    // modeled host seconds, post-chip
@@ -342,41 +338,24 @@ class EvalService {
   std::vector<std::vector<std::size_t>> place_items(
       std::size_t items, const std::vector<bool>* exclude = nullptr);
 
-  /// Work counters one chip's stage body reports into note_chip_session.
-  struct StageCounters {
-    std::uint64_t requests = 0;
-    std::uint64_t tower_runs = 0;
-    std::uint64_t relin_tower_runs = 0;
-  };
-
-  /// Shared stage scaffold: place `items` onto chips, fan the per-chip
-  /// `work(chip, placed_items, report, counters)` body out over the
-  /// Executor, and record per-chip stats/sim time.  A chip whose share
-  /// faults (chip::FaultError, or a modeled stage timeout) has its items
+  /// One chip sub-stage over the (tower x request) work of the `live`
+  /// slots: the Eq. 4 tensor over the extended basis, or (`key_switch`)
+  /// Algorithm-2 key switching over the Q basis.  ServiceOptions::strategy
+  /// picks the placed axis: whole requests (kBatchPerChip; each chip runs
+  /// every tower for its requests) or towers (kShardTowers; each chip runs
+  /// its towers for every request).  Places the items, runs each chip's
+  /// share as one session over the Executor, and records per-chip
+  /// stats/sim time into `chip_sim`.  A chip whose share faults
+  /// (chip::FaultError, or a modeled stage timeout) has its items
   /// re-placed onto the other eligible chips and re-run, up to
-  /// ServiceOptions::max_stage_retries times -- the work bodies are pure
+  /// ServiceOptions::max_stage_retries times -- sessions are pure
   /// functions of host-resident operands, so re-running is idempotent.
   /// Only when retries are exhausted (or the failure is not a fault) is
-  /// the error folded into s.errs: onto the chip's own placed slots when
-  /// `per_item_errors` (batch strategies, items index `live`), onto every
-  /// live slot otherwise (tower shards: any lost shard starves the whole
-  /// round).  Defined in eval_service.cpp (only used there).
-  template <typename Work>
+  /// the error folded into s.errs: onto the chip's own requests when
+  /// requests are placed, onto every live slot when towers are (any lost
+  /// shard starves the whole round).
   void run_stage(Session& s, const std::vector<std::size_t>& live,
-                 std::vector<double>& chip_sim, std::size_t items,
-                 bool per_item_errors, Work&& work);
-
-  /// Tensor-stage fan-out; writes tensors for `live` slots, records
-  /// per-chip stats and folds chip failures into s.errs.
-  void run_mult_batch_per_chip(Session& s, const std::vector<std::size_t>& live,
-                               std::vector<double>& chip_sim);
-  void run_mult_shard_towers(Session& s, const std::vector<std::size_t>& live,
-                             std::vector<double>& chip_sim);
-  /// Key-switch-stage fan-out over the Q basis, same shapes as above.
-  void run_relin_batch_per_chip(Session& s, const std::vector<std::size_t>& live,
-                                std::vector<double>& chip_sim);
-  void run_relin_shard_towers(Session& s, const std::vector<std::size_t>& live,
-                              std::vector<double>& chip_sim);
+                 std::vector<double>& chip_sim, bool key_switch);
 
   void note_chip_session(std::size_t chip, const driver::ChipMulReport& rep,
                          std::uint64_t requests, std::uint64_t tower_runs,
@@ -409,7 +388,6 @@ class EvalService {
   const bfv::Bfv& scheme_;
   ChipFarm& farm_;
   ServiceOptions opts_;
-  std::size_t depth_;  // effective session-ring depth (>= 1)
   backend::Executor exec_;
   std::vector<bool> chip_eligible_;     // can chip c serve the ring at all?
   std::vector<double> chip_unit_cost_;  // measured EWMA seconds per work item

@@ -12,9 +12,9 @@
 //  * the *pipeline model* replays the dispatcher's actual schedule on the
 //    simulated axis: one virtual host resource, one virtual chip-farm
 //    resource, advanced in the order phases really executed.  With
-//    double-buffered rounds enabled, host phases hide under chip phases and
-//    pipeline_span_seconds < serial_span_seconds; with overlap disabled the
-//    two spans coincide.
+//    pipelined rounds (ServiceOptions::pipeline_depth > 1), host phases
+//    hide under chip phases and pipeline_span_seconds <
+//    serial_span_seconds; at pipeline_depth = 1 the two spans coincide.
 #pragma once
 
 #include <algorithm>
@@ -22,13 +22,16 @@
 #include <cstdint>
 #include <vector>
 
+#include "driver/session_counters.hpp"
+
 namespace cofhee::service {
 
 /// Per-chip accounting.  A "session" is one continuous occupancy of a chip
 /// by a request group: its towers are ring-configured once each and then
 /// shared by every request in the group (the transport amortization the
-/// service exists for).
-struct ChipStats {
+/// service exists for).  The inherited session counters
+/// (driver/session_counters.hpp) sum this chip's sessions.
+struct ChipStats : driver::SessionCounters {
   /// Sessions (continuous chip occupancies) this chip ran.  Count.
   std::uint64_t sessions = 0;
   /// Work items (whole requests under kBatchPerChip, tower shards under
@@ -42,30 +45,8 @@ struct ChipStats {
   /// Per-(request, Q-tower) relinearization runs (each bundling this
   /// tower's key-switch products).  Count.
   std::uint64_t relin_tower_runs = 0;
-  /// Algorithm-2 key-switch PolyMuls executed.  Count.
-  std::uint64_t ks_products = 0;
-  /// Relin-key tower uploads paid over this chip's serial link.  Count.
-  std::uint64_t key_uploads = 0;
-  /// Relin-key tower uploads skipped because the key was already resident
-  /// in SP1 (batch-aware key caching).  key_uploads + key_cache_hits is the
-  /// cache-less upload count.  Count.
-  std::uint64_t key_cache_hits = 0;
   /// Ring reconfigurations paid (register writes + twiddle preload).  Count.
   std::uint64_t ring_configs = 0;
-  /// Operand uploads replaced by on-chip DMA duplication because the
-  /// polynomial was already resident in an SP bank (squaring scratch-reuse
-  /// hint; 2 per tower run of a squared request).  Count.
-  std::uint64_t sram_reuses = 0;
-  /// Register writes that traveled inside coalesced burst frames instead of
-  /// standalone write transactions (link batching).  Count.
-  std::uint64_t batched_writes = 0;
-  /// Timed ring configurations skipped because this chip's twiddle ROM
-  /// already held the requested ring (cross-session twiddle-ROM cache).
-  /// Count.
-  std::uint64_t twiddle_cache_hits = 0;
-  /// Wire bytes avoided by shipping relin-key `a` towers as seed frames
-  /// instead of full coefficient bursts.  Bytes.
-  std::uint64_t key_bytes_saved = 0;
   /// Typed faults (ChipFaultError / LinkTimeoutError) sessions or probes on
   /// this chip surfaced to the service.  Count.
   std::uint64_t faults = 0;
@@ -87,8 +68,6 @@ struct ChipStats {
   double ewma_unit_cost = 0;
   /// PE cycles at the configured clock.  Cycles.
   std::uint64_t chip_cycles = 0;
-  /// Simulated serial-link transport.  Seconds (simulated).
-  double io_seconds = 0;
   /// Simulated chip compute (chip_cycles at the modeled clock).  Seconds
   /// (simulated).
   double compute_seconds = 0;
@@ -221,8 +200,10 @@ struct TenantStats {
 };
 
 /// Aggregate service counters.  Snapshot-consistent when obtained through
-/// EvalService::stats().
-struct ServiceStats {
+/// EvalService::stats().  The inherited session counters
+/// (driver/session_counters.hpp) are summed over chips, so each equals the
+/// sum of the same field over per_chip.
+struct ServiceStats : driver::SessionCounters {
   /// Requests accepted by submit()/submit_batch().  Count.
   std::uint64_t submitted = 0;
   /// Requests whose future was fulfilled with a value.  Count.
@@ -236,26 +217,6 @@ struct ServiceStats {
   std::uint64_t overlapped_rounds = 0;
   /// Sum of per-chip sessions.  Count.
   std::uint64_t sessions = 0;
-  /// Algorithm-2 key-switch PolyMuls, summed over chips.  Count.
-  std::uint64_t ks_products = 0;
-  /// Relin-key tower uploads paid, summed over chips.  Count.
-  std::uint64_t key_uploads = 0;
-  /// Relin-key tower uploads skipped by the batch-aware key cache, summed
-  /// over chips (key_uploads + key_cache_hits == the cache-less count, and
-  /// for relin traffic that cache-less count equals ks_products).  Count.
-  std::uint64_t key_cache_hits = 0;
-  /// Operand uploads the squaring scratch-reuse hint turned into on-chip
-  /// DMA copies, summed over chips (see ChipStats::sram_reuses).  Count.
-  std::uint64_t sram_reuses = 0;
-  /// Register writes coalesced into burst frames, summed over chips (see
-  /// ChipStats::batched_writes).  Count.
-  std::uint64_t batched_writes = 0;
-  /// Ring configurations skipped by the twiddle-ROM cache, summed over
-  /// chips (see ChipStats::twiddle_cache_hits).  Count.
-  std::uint64_t twiddle_cache_hits = 0;
-  /// Wire bytes saved by seed-compressed relin-key uploads, summed over
-  /// chips (see ChipStats::key_bytes_saved).  Bytes.
-  std::uint64_t key_bytes_saved = 0;
   /// Injected faults the chips' link injectors actually fired (corrupt
   /// frames, timed-out stalls, kill events -- sub-timeout stalls that merely
   /// slowed a transaction count too), summed over attached injectors.  Count.
@@ -310,9 +271,6 @@ struct ServiceStats {
   /// time; with a non-zero ServiceOptions::max_queue this never exceeds
   /// the bound.  Count.
   std::size_t peak_queue_depth = 0;
-  /// Simulated serial-link transport, summed over chips.  Seconds
-  /// (simulated).
-  double io_seconds = 0;
   /// Simulated chip compute, summed over chips.  Seconds (simulated).
   double compute_seconds = 0;
   /// Modeled host time in pre-chip phases (base extension, relin digit

@@ -4,6 +4,7 @@
 
 #include <atomic>
 
+#include "backend/thread_pool.hpp"
 #include "nt/primes.hpp"
 #include "poly/sampler.hpp"
 
@@ -34,7 +35,7 @@ struct KernelFixture {
   std::size_t n = 128;
   std::vector<nt::u64> moduli{nt::find_ntt_prime_u64(54, 128),
                               nt::find_ntt_prime_u64(55, 128)};
-  CpuTensorKernel kernel{n, moduli};
+  CpuTensorKernel kernel{n, moduli, ExecPolicy::pooled(2)};
 
   poly::RnsPoly random_rns(std::uint64_t seed) {
     poly::Rng rng(seed);
@@ -48,8 +49,7 @@ TEST(CpuTensorKernel, MatchesSchoolbookTensor) {
   KernelFixture f;
   const auto a0 = f.random_rns(1), a1 = f.random_rns(2);
   const auto b0 = f.random_rns(3), b1 = f.random_rns(4);
-  ThreadPool pool(2);
-  const auto out = f.kernel.multiply(a0, a1, b0, b1, pool);
+  const auto out = f.kernel.multiply(a0, a1, b0, b1);
   for (std::size_t tw = 0; tw < f.moduli.size(); ++tw) {
     nt::Barrett64 ring(f.moduli[tw]);
     EXPECT_EQ(out.y0.towers[tw],
@@ -64,13 +64,12 @@ TEST(CpuTensorKernel, MatchesSchoolbookTensor) {
 }
 
 TEST(CpuTensorKernel, CarriedPolicyMatchesExplicitPool) {
-  // The ExecPolicy-carrying construction (serial and pooled) must produce
-  // the same tensor as the legacy explicit-pool overload.
+  // Kernels constructed with an explicit serial or pooled(4) policy must
+  // produce the same tensor as the fixture kernel carrying pooled(2).
   KernelFixture f;
   const auto a0 = f.random_rns(21), a1 = f.random_rns(22);
   const auto b0 = f.random_rns(23), b1 = f.random_rns(24);
-  ThreadPool pool(4);
-  const auto expect = f.kernel.multiply(a0, a1, b0, b1, pool);
+  const auto expect = f.kernel.multiply(a0, a1, b0, b1);
   const CpuTensorKernel serial(f.n, f.moduli, ExecPolicy::serial());
   const CpuTensorKernel pooled(f.n, f.moduli, ExecPolicy::pooled(4));
   const auto rs = serial.multiply(a0, a1, b0, b1);
@@ -81,21 +80,29 @@ TEST(CpuTensorKernel, CarriedPolicyMatchesExplicitPool) {
   EXPECT_EQ(rp.y0.towers, expect.y0.towers);
   EXPECT_EQ(rp.y1.towers, expect.y1.towers);
   EXPECT_EQ(rp.y2.towers, expect.y2.towers);
+  EXPECT_EQ(f.kernel.exec().concurrency(), 2u);
   EXPECT_EQ(serial.exec().concurrency(), 1u);
   EXPECT_EQ(pooled.exec().concurrency(), 4u);
 }
 
 TEST(CpuTensorKernel, ThreadCountDoesNotChangeResult) {
+  // The serial policy and pooled policies of 1, 4 and 16 threads must
+  // produce the same tensor.
   KernelFixture f;
   const auto a0 = f.random_rns(5), a1 = f.random_rns(6);
   const auto b0 = f.random_rns(7), b1 = f.random_rns(8);
-  ThreadPool p1(1), p4(4), p16(16);
-  const auto r1 = f.kernel.multiply(a0, a1, b0, b1, p1);
-  const auto r4 = f.kernel.multiply(a0, a1, b0, b1, p4);
-  const auto r16 = f.kernel.multiply(a0, a1, b0, b1, p16);
-  EXPECT_EQ(r1.y0.towers, r4.y0.towers);
-  EXPECT_EQ(r4.y1.towers, r16.y1.towers);
-  EXPECT_EQ(r1.y2.towers, r16.y2.towers);
+  const CpuTensorKernel serial(f.n, f.moduli, ExecPolicy::serial());
+  EXPECT_EQ(serial.exec().concurrency(), 1u);
+  const auto want = serial.multiply(a0, a1, b0, b1);
+  for (std::size_t threads : {1, 4, 16}) {
+    SCOPED_TRACE(threads);
+    const CpuTensorKernel pooled(f.n, f.moduli, ExecPolicy::pooled(threads));
+    EXPECT_EQ(pooled.exec().concurrency(), threads);
+    const auto got = pooled.multiply(a0, a1, b0, b1);
+    EXPECT_EQ(got.y0.towers, want.y0.towers);
+    EXPECT_EQ(got.y1.towers, want.y1.towers);
+    EXPECT_EQ(got.y2.towers, want.y2.towers);
+  }
 }
 
 TEST(CpuTensorKernel, ModmulCountScalesWithWorkload) {

@@ -2,6 +2,8 @@
 // Table V: every row must stay within 10% (the fit currently holds ~7%).
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "chip/chip.hpp"
 #include "driver/host_driver.hpp"
 #include "nt/primes.hpp"
@@ -15,6 +17,10 @@ struct PowerCase {
   std::size_t n;
   double avg_mw, peak_mw;
 };
+
+// Names each case "<algo>_n<n>" so test names do not carry the address of
+// the algo string, which moves on every link.
+void PrintTo(const PowerCase& pc, std::ostream* os) { *os << pc.algo << "_n" << pc.n; }
 
 class TableVPower : public ::testing::TestWithParam<PowerCase> {};
 

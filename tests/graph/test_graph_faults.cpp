@@ -182,7 +182,6 @@ TEST(GraphFaults, SeededGraphChaosSettlesEveryRun) {
       service::ServiceOptions opts;
       opts.relin_keys = &f.rk;
       opts.pipeline_depth = depth;
-      opts.overlap_rounds = depth > 1;
       service::EvalService svc(f.scheme, farm, opts);
       GraphExecutor ex(f.scheme, svc);
       try {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iomanip>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -13,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "driver/session_counters.hpp"
 #include "obs/service_export.hpp"
 #include "service/request_queue.hpp"
 #include "service/service_stats.hpp"
@@ -127,13 +129,21 @@ TEST(MetricsRegistry, RenderEmitsPrometheusTextFormat) {
 
 TEST(ServiceExport, MapsStatsOntoRegistry) {
   service::ServiceStats st;
+  st.per_chip.resize(2);
+  // Every session-counter row gets distinct service and chip-0 values.
+  int row = 0;
+#define COFHEE_SET_ROW(name, type, help) \
+  ++row;                                 \
+  st.name = static_cast<type>(10 + row); \
+  st.per_chip[0].name = static_cast<type>(20 + row);
+  COFHEE_SESSION_COUNTERS(COFHEE_SET_ROW)
+#undef COFHEE_SET_ROW
   st.submitted = 7;
   st.completed = 6;
   st.failed = 1;
   st.io_seconds = 1.25;
   st.compute_seconds = 0.5;
   st.queue_depth = 2;
-  st.per_chip.resize(2);
   st.per_chip[0].ewma_unit_cost = 0.125;
   st.per_chip[1].quarantined = true;
   st.per_chip[1].faults = 3;
@@ -160,6 +170,22 @@ TEST(ServiceExport, MapsStatsOntoRegistry) {
   EXPECT_NE(text.find("cofhee_class_queue_depth{class=\"high\"} 2"),
             std::string::npos);
   EXPECT_NE(text.find("cofhee_tenant_weight{tenant=\"9\"} 2"), std::string::npos);
+  const auto rendered = [](double v) {
+    std::ostringstream ss;
+    ss << std::setprecision(15) << v;
+    return ss.str();
+  };
+#define COFHEE_EXPECT_ROW(name, type, help)                                      \
+  EXPECT_NE(text.find("\ncofhee_service_" #name "_total " +                      \
+                      rendered(static_cast<double>(st.name)) + "\n"),            \
+            std::string::npos)                                                   \
+      << #name;                                                                  \
+  EXPECT_NE(text.find("\ncofhee_chip_" #name "_total{chip=\"0\"} " +              \
+                      rendered(static_cast<double>(st.per_chip[0].name)) + "\n"), \
+            std::string::npos)                                                   \
+      << #name;
+  COFHEE_SESSION_COUNTERS(COFHEE_EXPECT_ROW)
+#undef COFHEE_EXPECT_ROW
 
   // Re-export after the counters moved: set() semantics overwrite, so the
   // registry tracks the latest snapshot instead of double counting.

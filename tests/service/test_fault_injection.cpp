@@ -10,10 +10,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bfv/encoder.hpp"
+#include "driver/session_counters.hpp"
 #include "service/errors.hpp"
 #include "service/eval_service.hpp"
 
@@ -94,6 +97,20 @@ void expect_counter_invariants(const ServiceStats& st) {
   }
   EXPECT_EQ(per_chip_q, st.quarantines);
   EXPECT_EQ(per_chip_re, st.readmissions);
+  // Every session counter's service total is the sum over chips: integers
+  // exactly, floating-point rows up to summation order.
+  driver::SessionCounters chip_sum;
+  for (const auto& c : st.per_chip) chip_sum += c;
+#define COFHEE_EXPECT_SUM(name, type, help)                      \
+  if constexpr (std::is_integral_v<type>) {                      \
+    EXPECT_EQ(st.name, chip_sum.name) << #name;                  \
+  } else {                                                       \
+    EXPECT_NEAR(st.name, chip_sum.name,                          \
+                1e-12 * std::abs(static_cast<double>(chip_sum.name))) \
+        << #name;                                                \
+  }
+  COFHEE_SESSION_COUNTERS(COFHEE_EXPECT_SUM)
+#undef COFHEE_EXPECT_SUM
   // The service can only have *seen* faults the injectors (or probes/stage
   // timeouts, which don't inject) actually produced.
   EXPECT_EQ(st.completed + st.failed, st.submitted);
@@ -332,7 +349,6 @@ TEST(FaultInjection, SeededChaosMatrixNeverHangsOrCorrupts) {
         ChipFarm farm(specs);
         auto opts = f.base_opts();
         opts.pipeline_depth = depth;
-        opts.overlap_rounds = depth > 1;
         opts.max_batch = 3;  // several rounds per wave
         EvalService svc(f.scheme, farm, opts);
         auto futs = svc.submit_batch(f.requests);

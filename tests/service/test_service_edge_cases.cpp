@@ -163,7 +163,6 @@ TEST(ServiceEdgeCases, ShutdownDrainsThePipelinedSession) {
   ServiceOptions opts;
   opts.max_batch = 1;
   opts.relin_keys = &f.rk;
-  opts.overlap_rounds = true;
   std::vector<std::future<bfv::Ciphertext>> futures;
   {
     EvalService svc(f.scheme, farm, opts);

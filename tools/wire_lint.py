@@ -16,7 +16,10 @@ Checks:
     HTTP requests, active gauge) alongside the service families;
   * the books balance: completed + failed <= submitted at the service
     level AND per tenant label; frames_tx >= rejects_sent; every tenant
-    with a rejected count also appears in the submitted-or-rejected set.
+    with a rejected count also appears in the submitted-or-rejected set;
+    every cofhee_chip_<x>_total family whose cofhee_service_<x>_total twin
+    is in the scrape sums over its chip labels to the service value
+    (relative 1e-9) -- the pairs come from the scrape, not a list here.
 
 Exits 0 when clean, 1 with a per-problem report otherwise.
 """
@@ -156,6 +159,21 @@ def lint(path: Path) -> list[str]:
             errors.append(
                 f"{path}: tenant {tenant} has rejections but no "
                 f"cofhee_tenant_submitted_total sample"
+            )
+
+    # Per-chip books: a service-wide counter with a per-chip twin is the
+    # sum of that twin over chips.
+    for family in sorted(samples):
+        m = re.fullmatch(r"cofhee_chip_(\w+)_total", family)
+        twin = f"cofhee_service_{m.group(1)}_total" if m else None
+        if twin not in samples:
+            continue
+        service_value = total(samples, twin)
+        chip_sum = total(samples, family)
+        if abs(service_value - chip_sum) > 1e-9 * max(abs(service_value), abs(chip_sum)):
+            errors.append(
+                f"{path}: {twin} ({service_value}) != sum of {family} over "
+                f"chips ({chip_sum})"
             )
 
     # Wire-level sanity: every reject rode a tx frame; the active gauge is
