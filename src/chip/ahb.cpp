@@ -47,4 +47,34 @@ void AhbBus::write128(BusMaster m, std::uint32_t addr, unsigned __int128 value) 
   }
 }
 
+AhbSlave* AhbBus::burst_slave(std::uint32_t addr, std::size_t count) {
+  if (count == 0 || addr % 4 != 0) return nullptr;
+  AhbSlave& s = route(addr);
+  const std::uint64_t end = std::uint64_t{addr} - s.base + 4 * std::uint64_t{count};
+  if (!s.read_burst || !s.write_burst || end > s.size) return nullptr;
+  return &s;
+}
+
+void AhbBus::read_burst(BusMaster m, std::uint32_t addr, std::uint32_t* out,
+                        std::size_t count) {
+  if (AhbSlave* s = burst_slave(addr, count)) {
+    stats_[static_cast<std::size_t>(m)].reads += count;
+    s->read_burst(addr - s->base, out, count);
+    return;
+  }
+  for (std::size_t i = 0; i < count; ++i)
+    out[i] = read32(m, addr + static_cast<std::uint32_t>(i) * 4);
+}
+
+void AhbBus::write_burst(BusMaster m, std::uint32_t addr, const std::uint32_t* words,
+                         std::size_t count) {
+  if (AhbSlave* s = burst_slave(addr, count)) {
+    stats_[static_cast<std::size_t>(m)].writes += count;
+    s->write_burst(addr - s->base, words, count);
+    return;
+  }
+  for (std::size_t i = 0; i < count; ++i)
+    write32(m, addr + static_cast<std::uint32_t>(i) * 4, words[i]);
+}
+
 }  // namespace cofhee::chip

@@ -27,13 +27,21 @@ enum class BusMaster : std::uint8_t {
 };
 inline constexpr std::size_t kNumMasters = 5;
 
-/// A bus slave: word-granular 32-bit handlers over a byte-address range.
+/// A bus slave: word-granular 32-bit handlers over a byte-address range,
+/// plus optional burst handlers for a run of consecutive 32-bit words that
+/// lies inside the slave.  A burst handler must have exactly the effect of
+/// the same sequence of read32/write32 calls.
 struct AhbSlave {
   std::string name;
   std::uint32_t base = 0;
   std::uint32_t size = 0;  // bytes
   std::function<std::uint32_t(std::uint32_t offset)> read32;
   std::function<void(std::uint32_t offset, std::uint32_t value)> write32;
+  std::function<void(std::uint32_t offset, std::uint32_t* out, std::size_t count)>
+      read_burst{};
+  std::function<void(std::uint32_t offset, const std::uint32_t* words,
+                     std::size_t count)>
+      write_burst{};
 };
 
 struct BusStats {
@@ -52,6 +60,15 @@ class AhbBus {
   [[nodiscard]] unsigned __int128 read128(BusMaster m, std::uint32_t addr);
   void write128(BusMaster m, std::uint32_t addr, unsigned __int128 value);
 
+  /// `count` 32-bit beats at consecutive word addresses from `addr`.  A
+  /// 4-byte-aligned burst that lies inside one slave with burst handlers
+  /// is routed once and moved in one call; any other burst is the per-beat
+  /// loop.  Either way the per-master stats count one access per beat.
+  void read_burst(BusMaster m, std::uint32_t addr, std::uint32_t* out,
+                  std::size_t count);
+  void write_burst(BusMaster m, std::uint32_t addr, const std::uint32_t* words,
+                   std::size_t count);
+
   [[nodiscard]] const BusStats& stats(BusMaster m) const {
     return stats_[static_cast<std::size_t>(m)];
   }
@@ -60,6 +77,9 @@ class AhbBus {
 
  private:
   AhbSlave& route(std::uint32_t addr);
+  /// The slave that holds all of [addr, addr + 4*count) and has burst
+  /// handlers, or nullptr when the burst must go beat by beat.
+  AhbSlave* burst_slave(std::uint32_t addr, std::size_t count);
 
   std::vector<AhbSlave> slaves_;
   BusStats stats_[kNumMasters]{};

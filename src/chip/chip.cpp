@@ -41,13 +41,18 @@ void CofheeChip::attach_slaves() {
       w = (w & ~mask) | (static_cast<u128>(v) << shift);
       bank.write(off / 16, w);
     };
+    auto rd_burst = [&bank](std::uint32_t off, std::uint32_t* out, std::size_t count) {
+      bank.read_words32(off, out, count);
+    };
+    auto wr_burst = [&bank](std::uint32_t off, const std::uint32_t* words,
+                            std::size_t count) { bank.write_words32(off, words, count); };
     const auto base = static_cast<std::uint32_t>(MemoryMap::kDataSramBase +
                                                  i * MemoryMap::kBankStride);
     const auto size = static_cast<std::uint32_t>(bank.words() * 16);
-    bus_.attach(AhbSlave{bank.name(), base, size, rd, wr});
+    bus_.attach(AhbSlave{bank.name(), base, size, rd, wr, rd_burst, wr_burst});
     if (bank.dual_port()) {
       bus_.attach(AhbSlave{bank.name() + "_portB", base + MemoryMap::kPortBOffset,
-                           size, rd, wr});
+                           size, rd, wr, rd_burst, wr_burst});
     }
   }
 
@@ -77,7 +82,6 @@ std::uint64_t CofheeChip::run_fifo() {
 void CofheeChip::reset_metrics() {
   cycles_ = 0;
   trace_.clear();
-  pe_.reset_counters();
   mdmc_.reset_stats();
   dma_.reset_stats();
   uart_.reset_stats();

@@ -1,15 +1,29 @@
 #include "chip/mdmc.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
 #include "nt/primes.hpp"
+#include "nt/simd.hpp"
 
 namespace cofhee::chip {
 
+namespace {
+
+/// Shoup constant floor(w * 2^64 / q) of a multiplier w < q.
+std::uint64_t shoup(std::uint64_t w, std::uint64_t q) {
+  return static_cast<std::uint64_t>((static_cast<u128>(w) << 64) / q);
+}
+
+}  // namespace
+
 void Mdmc::refresh_ring() {
   if (ring_version_ != gpcfg_.q_version()) {
-    pe_.set_modulus(gpcfg_.q());
+    const u128 q = gpcfg_.q();
+    pe_.set_modulus(q);
+    word_ring_ = q < (u128{1} << 62);  // q >= 2: set_modulus checked it
+    if (word_ring_) red64_ = nt::Barrett64(static_cast<std::uint64_t>(q));
     ring_version_ = gpcfg_.q_version();
   }
 }
@@ -58,34 +72,37 @@ std::uint64_t Mdmc::exec_ntt(const Instr& in, bool inverse) {
   if (in.len != 0 && in.len != n)
     throw std::invalid_argument("Mdmc: NTT length must match the N register");
   if (!nt::is_power_of_two(n)) throw std::invalid_argument("Mdmc: N not a power of 2");
-  const unsigned logn = nt::log2_exact(n);
   const unsigned ii = ntt_ii(in);
+  if (!word_ntt(in, inverse, n)) pe_ntt(in, inverse, n);
+  const std::uint64_t cycles = cfg_.cmd_issue_cycles + charge_ntt(n, inverse, ii);
+  gpcfg_.raise_irq(kIrqOpDone);
+  return cycles;
+}
 
-  Sram& src = mem_.bank(in.x.bank);
-  Sram& dst = mem_.bank(in.dst.bank);
-  Sram& tw = mem_.bank(Bank::kTw);
-
-  // Fetch the working vector.  The silicon ping-pongs between the two
-  // dual-port banks stage by stage; the model computes stages in a local
-  // buffer and charges the same per-stage memory traffic, storing the final
-  // stage into dst (bank-parity handling is abstracted away -- it does not
-  // change cycle counts or results).
-  std::vector<u128> x(n);
-  for (std::size_t i = 0; i < n; ++i) x[i] = src.read(in.x.offset + i);
-
-  std::uint64_t cycles = cfg_.cmd_issue_cycles;
-
-  // Inverse twiddles are derived from the shared ROM by the DMA-assisted
-  // mirror pass (Section VIII-B); functionally: psi^-e = -psi^(n-e).
+std::uint64_t Mdmc::charge_ntt(std::size_t n, bool inverse, unsigned ii) {
+  const unsigned logn = nt::log2_exact(n);
   const unsigned radix_speedup = cfg_.num_pe;  // Section VIII-A scaling knob
-  std::vector<u128> tw_stage(n);  // values consumed this stage
+  std::uint64_t cycles = 0;
+  const auto charge = [&](const PowerSegment& seg) {
+    trace_.append(seg);
+    cycles += seg.cycles;
+  };
 
+  if (inverse) {
+    // The mirror pass streams the ROM through the DMA to derive inverse
+    // twiddles (Section VIII-B).
+    PowerSegment mirror;
+    mirror.cycles = n / cfg_.dma_words_per_cycle / radix_speedup;
+    mirror.dma_words = n / cfg_.dma_words_per_cycle;
+    mirror.label = "intt-twiddle-mirror";
+    charge(mirror);
+  }
   // Background staging of the next polynomial (Section III-F) overlaps the
   // first stage only -- an n-word burst at 8 words/cycle fits well inside
   // one stage's n/2 butterfly window.  That stage is the peak-power window
   // the oscilloscope sees (Table V peak > steady-state butterfly power).
-  bool first_stage = true;
-  auto charge_stage = [&](std::uint64_t butterflies, const char* label) {
+  const std::uint64_t butterflies = n / 2;
+  for (unsigned stage = 0; stage < logn; ++stage) {
     PowerSegment seg;
     seg.cycles = butterflies * ii / radix_speedup;
     if (inverse) {
@@ -98,18 +115,41 @@ std::uint64_t Mdmc::exec_ntt(const Instr& in, bool inverse) {
     seg.sram_reads = 2 * butterflies;
     seg.sram_writes = 2 * butterflies;
     seg.twiddle_reads = butterflies;
-    seg.dma_concurrent = cfg_.dma_background && first_stage;
-    first_stage = false;
-    seg.label = label;
-    trace_.append(seg);
-    cycles += seg.cycles;
+    seg.dma_concurrent = cfg_.dma_background && stage == 0;
+    seg.label = inverse ? "intt-stage" : "ntt-stage";
+    charge(seg);
     // Stage reconfiguration + pipeline fill/drain.
     PowerSegment fill;
     fill.cycles = cfg_.stage_overhead;
     fill.label = "stage-overhead";
-    trace_.append(fill);
-    cycles += fill.cycles;
-  };
+    charge(fill);
+  }
+  if (inverse) {
+    // Trailing CMODMUL by INV_POLYDEG.
+    PowerSegment scale;
+    scale.cycles = (n + cfg_.pointwise_fill) / radix_speedup;
+    scale.mult_inv = n;
+    scale.sram_reads = n;
+    scale.sram_writes = n;
+    scale.label = "intt-scale";
+    charge(scale);
+  }
+  return cycles;
+}
+
+void Mdmc::pe_ntt(const Instr& in, bool inverse, std::size_t n) {
+  const unsigned logn = nt::log2_exact(n);
+  Sram& src = mem_.bank(in.x.bank);
+  Sram& dst = mem_.bank(in.dst.bank);
+  Sram& tw = mem_.bank(Bank::kTw);
+
+  // Fetch the working vector.  The silicon ping-pongs between the two
+  // dual-port banks stage by stage; the model computes stages in a local
+  // buffer and charges the same per-stage memory traffic, storing the final
+  // stage into dst (bank-parity handling is abstracted away -- it does not
+  // change cycle counts or results).
+  std::vector<u128> x(n);
+  for (std::size_t i = 0; i < n; ++i) x[i] = src.read(in.x.offset + i);
 
   if (!inverse) {
     // CT/DIT merged negacyclic forward transform (natural -> bit-reversed).
@@ -125,25 +165,16 @@ std::uint64_t Mdmc::exec_ntt(const Instr& in, bool inverse) {
           x[j + t] = o.hi;
         }
       }
-      charge_stage(n / 2, "ntt-stage");
     }
   } else {
-    // GS/DIF merged inverse transform (bit-reversed -> natural).
-    // The mirror pass streams the ROM through the DMA to derive inverse
-    // twiddles: psi^-rev(i) = -psi^(n - rev(i)).
-    const unsigned lognn = logn;
-    {
-      PowerSegment mirror;
-      mirror.cycles = n / cfg_.dma_words_per_cycle / radix_speedup;
-      mirror.dma_words = n / cfg_.dma_words_per_cycle;
-      mirror.label = "intt-twiddle-mirror";
-      trace_.append(mirror);
-      cycles += mirror.cycles;
-    }
+    // GS/DIF merged inverse transform (bit-reversed -> natural).  Inverse
+    // twiddles come from the mirror pass over the shared ROM:
+    // psi^-rev(i) = -psi^(n - rev(i)).
+    std::vector<u128> tw_stage(n);
     for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t e = nt::bit_reverse(i, lognn);
+      const std::size_t e = nt::bit_reverse(i, logn);
       tw_stage[i] = e == 0 ? u128{1}
-                           : pe_.ring().neg(tw.peek(nt::bit_reverse(n - e, lognn)));
+                           : pe_.ring().neg(tw.peek(nt::bit_reverse(n - e, logn)));
     }
     std::size_t t = 1;
     for (std::size_t m = n; m > 1; m >>= 1) {
@@ -159,66 +190,104 @@ std::uint64_t Mdmc::exec_ntt(const Instr& in, bool inverse) {
         j1 += 2 * t;
       }
       t <<= 1;
-      charge_stage(n / 2, "intt-stage");
     }
     // Trailing CMODMUL by INV_POLYDEG (n^-1 mod q).
     const u128 ninv = gpcfg_.inv_polydeg();
     for (auto& c : x) c = pe_.mod_mul(c, ninv);
-    PowerSegment scale;
-    scale.cycles = (n + cfg_.pointwise_fill) / radix_speedup;
-    scale.mult_inv = n;
-    scale.sram_reads = n;
-    scale.sram_writes = n;
-    scale.label = "intt-scale";
-    trace_.append(scale);
-    cycles += scale.cycles;
   }
 
   for (std::size_t i = 0; i < n; ++i) dst.write(in.dst.offset + i, x[i]);
-  gpcfg_.raise_irq(kIrqOpDone);
-  return cycles;
+}
+
+bool Mdmc::narrow(std::span<const u128> words, std::vector<std::uint64_t>& out) const {
+  const u128 q = red64_.modulus();
+  out.resize(words.size());
+  bool canonical = true;
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    canonical &= words[i] < q;
+    out[i] = static_cast<std::uint64_t>(words[i]);
+  }
+  return canonical;
+}
+
+const Mdmc::WordTwiddles* Mdmc::word_twiddles(std::size_t n) {
+  const Sram& rom = mem_.bank(Bank::kTw);
+  WordTwiddles& c = tw64_;
+  if (c.q_version == gpcfg_.q_version() && c.tw_generation == rom.generation() &&
+      c.n == n)
+    return c.usable ? &c : nullptr;
+  c.q_version = gpcfg_.q_version();
+  c.tw_generation = rom.generation();
+  c.n = n;
+  c.usable = n <= rom.words() && narrow(rom.peek_block(0, n), c.fwd);
+  if (!c.usable) return nullptr;
+  const std::uint64_t q = red64_.modulus();
+  const unsigned logn = nt::log2_exact(n);
+  c.fwd_shoup.resize(n);
+  c.inv.resize(n);
+  c.inv_shoup.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t e = nt::bit_reverse(i, logn);
+    c.inv[i] = e == 0 ? 1 : red64_.neg(c.fwd[nt::bit_reverse(n - e, logn)]);
+    c.fwd_shoup[i] = shoup(c.fwd[i], q);
+    c.inv_shoup[i] = shoup(c.inv[i], q);
+  }
+  return &c;
+}
+
+bool Mdmc::word_ntt(const Instr& in, bool inverse, std::size_t n) {
+  if (!word_ring_) return false;
+  Sram& src = mem_.bank(in.x.bank);
+  Sram& dst = mem_.bank(in.dst.bank);
+  if (in.x.offset + n > src.words() || in.dst.offset + n > dst.words()) return false;
+  const std::uint64_t q = red64_.modulus();
+  const u128 ninv = gpcfg_.inv_polydeg();
+  if (inverse && ninv >= q) return false;
+  const WordTwiddles* tw = word_twiddles(n);
+  if (tw == nullptr || !narrow(src.peek_block(in.x.offset, n), a64_)) return false;
+
+  // Same accesses as the PE path: the operand fetch, and on the forward
+  // transform one ROM read per butterfly group (words 1 .. n-1).
+  src.read_block(in.x.offset, n);
+  const auto& K = nt::simd::kernels();
+  std::uint64_t* x = a64_.data();
+  if (!inverse) {
+    mem_.bank(Bank::kTw).read_block(1, n - 1);
+    std::size_t t = n;
+    for (std::size_t m = 1; m < n; m <<= 1) {
+      t >>= 1;
+      for (std::size_t i = 0; i < m; ++i) {
+        const std::size_t j1 = 2 * i * t;
+        K.ct_butterfly(x + j1, x + j1 + t, t, tw->fwd[m + i], tw->fwd_shoup[m + i], q);
+      }
+    }
+    K.canonicalize(x, n, q);
+  } else {
+    std::size_t t = 1;
+    for (std::size_t m = n; m > 1; m >>= 1) {
+      const std::size_t h = m >> 1;
+      std::size_t j1 = 0;
+      for (std::size_t i = 0; i < h; ++i) {
+        K.gs_butterfly(x + j1, x + j1 + t, t, tw->inv[h + i], tw->inv_shoup[h + i], q);
+        j1 += 2 * t;
+      }
+      t <<= 1;
+    }
+    const auto w = static_cast<std::uint64_t>(ninv);
+    K.scalar_mul_shoup(x, n, w, shoup(w, q), q);
+  }
+  std::copy(a64_.begin(), a64_.end(), dst.write_block(in.dst.offset, n).begin());
+  return true;
 }
 
 std::uint64_t Mdmc::exec_pointwise(const Instr& in) {
   const std::size_t len = vec_len(in);
-  Sram& xs = mem_.bank(in.x.bank);
-  Sram& ys = mem_.bank(in.y.bank);
-  Sram& ds = mem_.bank(in.dst.bank);
+  if (!word_pointwise(in, len)) pe_pointwise(in, len);
 
-  const u128 c = gpcfg_.cmod_const();
   PowerSegment seg;
   seg.cycles = len + cfg_.pointwise_fill;
   seg.sram_writes = len;
-  seg.label = std::string(opcode_name(in.op));
-
-  for (std::size_t i = 0; i < len; ++i) {
-    const u128 a = xs.read(in.x.offset + i);
-    u128 r = 0;
-    switch (in.op) {
-      case Opcode::kPModAdd:
-        r = pe_.mod_add(a, ys.read(in.y.offset + i));
-        break;
-      case Opcode::kPModSub:
-        r = pe_.mod_sub(a, ys.read(in.y.offset + i));
-        break;
-      case Opcode::kPModMul:
-        r = pe_.mod_mul(a, ys.read(in.y.offset + i));
-        break;
-      case Opcode::kPModSqr:
-        r = pe_.mod_mul(a, a);
-        break;
-      case Opcode::kCModMul:
-        r = pe_.mod_mul(a, c);
-        break;
-      case Opcode::kPMul:
-        r = pe_.mul_plain(a, ys.read(in.y.offset + i));
-        break;
-      default:
-        throw std::logic_error("Mdmc: not a pointwise op");
-    }
-    ds.write(in.dst.offset + i, r);
-  }
-
+  seg.label = opcode_name(in.op).data();
   switch (in.op) {
     case Opcode::kPModAdd:
       seg.adds = len;
@@ -249,6 +318,93 @@ std::uint64_t Mdmc::exec_pointwise(const Instr& in) {
   return seg.cycles + cfg_.cmd_issue_cycles;
 }
 
+void Mdmc::pe_pointwise(const Instr& in, std::size_t len) {
+  Sram& xs = mem_.bank(in.x.bank);
+  Sram& ys = mem_.bank(in.y.bank);
+  Sram& ds = mem_.bank(in.dst.bank);
+  const u128 c = gpcfg_.cmod_const();
+  for (std::size_t i = 0; i < len; ++i) {
+    const u128 a = xs.read(in.x.offset + i);
+    u128 r = 0;
+    switch (in.op) {
+      case Opcode::kPModAdd:
+        r = pe_.mod_add(a, ys.read(in.y.offset + i));
+        break;
+      case Opcode::kPModSub:
+        r = pe_.mod_sub(a, ys.read(in.y.offset + i));
+        break;
+      case Opcode::kPModMul:
+        r = pe_.mod_mul(a, ys.read(in.y.offset + i));
+        break;
+      case Opcode::kPModSqr:
+        r = pe_.mod_mul(a, a);
+        break;
+      case Opcode::kCModMul:
+        r = pe_.mod_mul(a, c);
+        break;
+      case Opcode::kPMul:
+        r = pe_.mul_plain(a, ys.read(in.y.offset + i));
+        break;
+      default:
+        throw std::logic_error("Mdmc: not a pointwise op");
+    }
+    ds.write(in.dst.offset + i, r);
+  }
+}
+
+bool Mdmc::word_pointwise(const Instr& in, std::size_t len) {
+  const bool binary = in.op == Opcode::kPModAdd || in.op == Opcode::kPModSub ||
+                      in.op == Opcode::kPModMul;
+  if (!word_ring_ || !(binary || in.op == Opcode::kPModSqr || in.op == Opcode::kCModMul))
+    return false;
+  Sram& xs = mem_.bank(in.x.bank);
+  Sram& ys = mem_.bank(in.y.bank);
+  Sram& ds = mem_.bank(in.dst.bank);
+  const auto fits = [len](const MemRef& r, const Sram& b) {
+    return r.offset + len <= b.words();
+  };
+  // The PE loop reads word i, then writes word i; a source that partially
+  // overlaps the destination would see words this command already wrote.
+  const auto in_place_or_apart = [&](const MemRef& r) {
+    return r.bank != in.dst.bank || r.offset == in.dst.offset ||
+           r.offset + len <= in.dst.offset || in.dst.offset + len <= r.offset;
+  };
+  if (!fits(in.x, xs) || !fits(in.dst, ds) || !in_place_or_apart(in.x)) return false;
+  if (binary && (!fits(in.y, ys) || !in_place_or_apart(in.y))) return false;
+  const std::uint64_t q = red64_.modulus();
+  const u128 c = gpcfg_.cmod_const();
+  if (in.op == Opcode::kCModMul && c >= q) return false;
+  if (!narrow(xs.peek_block(in.x.offset, len), a64_)) return false;
+  if (binary && !narrow(ys.peek_block(in.y.offset, len), b64_)) return false;
+
+  xs.read_block(in.x.offset, len);
+  if (binary) ys.read_block(in.y.offset, len);
+  const auto& K = nt::simd::kernels();
+  std::uint64_t* a = a64_.data();
+  const std::uint64_t* b = b64_.data();
+  switch (in.op) {
+    case Opcode::kPModAdd:
+      for (std::size_t i = 0; i < len; ++i) a[i] = red64_.add(a[i], b[i]);
+      break;
+    case Opcode::kPModSub:
+      for (std::size_t i = 0; i < len; ++i) a[i] = red64_.sub(a[i], b[i]);
+      break;
+    case Opcode::kPModMul:
+      K.pointwise_mul(a, a, b, len, q, red64_.mu(), red64_.k());
+      break;
+    case Opcode::kPModSqr:
+      K.pointwise_mul(a, a, a, len, q, red64_.mu(), red64_.k());
+      break;
+    default: {  // kCModMul
+      const auto w = static_cast<std::uint64_t>(c);
+      K.scalar_mul_shoup(a, len, w, shoup(w, q), q);
+      break;
+    }
+  }
+  std::copy(a64_.begin(), a64_.end(), ds.write_block(in.dst.offset, len).begin());
+  return true;
+}
+
 std::uint64_t Mdmc::exec_memcpy(const Instr& in, bool bit_reverse) {
   const std::size_t len = vec_len(in);
   if (!nt::is_power_of_two(len) && bit_reverse)
@@ -264,7 +420,7 @@ std::uint64_t Mdmc::exec_memcpy(const Instr& in, bool bit_reverse) {
   seg.cycles = len + cfg_.pointwise_fill;
   seg.sram_reads = len;
   seg.sram_writes = len;
-  seg.label = bit_reverse ? "MEMCPYR" : "MEMCPY";
+  seg.label = opcode_name(bit_reverse ? Opcode::kMemCpyR : Opcode::kMemCpy).data();
   trace_.append(seg);
   gpcfg_.raise_irq(kIrqOpDone);
   return seg.cycles + cfg_.cmd_issue_cycles;

@@ -14,9 +14,19 @@
 //
 // II is 1 when both ping/pong NTT buffers are dual-port banks and 2
 // otherwise (Section III-C: single-port operation at n >= 2^14).
+//
+// Two datapaths compute the same words.  When the programmed q < 2^62 and
+// every operand, twiddle and INV_POLYDEG/CMODMUL constant word is < q,
+// NTT/iNTT and the modular pointwise ops run on a 64-bit copy of the
+// operands with the nt::simd kernels (Shoup-twiddle butterflies, Barrett64
+// products).  Anything else -- wide rings, non-canonical words, PMUL's
+// plain 128-bit product -- takes the PE's 128-bit Barrett path.  Cycles,
+// power segments and SRAM access counts do not depend on the datapath.
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "chip/config.hpp"
 #include "chip/gpcfg.hpp"
@@ -24,6 +34,7 @@
 #include "chip/pe.hpp"
 #include "chip/power.hpp"
 #include "chip/sram.hpp"
+#include "nt/barrett.hpp"
 
 namespace cofhee::chip {
 
@@ -56,6 +67,35 @@ class Mdmc {
   std::uint64_t exec_pointwise(const Instr& in);
   std::uint64_t exec_memcpy(const Instr& in, bool bit_reverse);
 
+  /// Append the NTT/iNTT power segments in the silicon's order; returns
+  /// their cycles.
+  std::uint64_t charge_ntt(std::size_t n, bool inverse, unsigned ii);
+
+  // 128-bit Barrett datapath (the PE).
+  void pe_ntt(const Instr& in, bool inverse, std::size_t n);
+  void pe_pointwise(const Instr& in, std::size_t len);
+
+  // 64-bit datapath; each returns false, having changed nothing, when the
+  // command does not qualify.
+  bool word_ntt(const Instr& in, bool inverse, std::size_t n);
+  bool word_pointwise(const Instr& in, std::size_t len);
+
+  /// TW-bank twiddles narrowed to 64 bits with their Shoup constants, for
+  /// one (Q write, TW-bank contents, n).
+  struct WordTwiddles {
+    std::uint64_t q_version = ~std::uint64_t{0};
+    std::uint64_t tw_generation = ~std::uint64_t{0};
+    std::size_t n = 0;
+    bool usable = false;  // every ROM word in [0, n) is < q
+    std::vector<std::uint64_t> fwd, fwd_shoup;  // ROM word i
+    std::vector<std::uint64_t> inv, inv_shoup;  // mirror-pass word i
+  };
+  /// The twiddles for `n`, rebuilt when Q or the TW bank was written;
+  /// nullptr when a ROM word is >= q.
+  const WordTwiddles* word_twiddles(std::size_t n);
+  /// Narrow `words` into `out`; false when a word is >= q.
+  bool narrow(std::span<const u128> words, std::vector<std::uint64_t>& out) const;
+
   ChipConfig cfg_;
   MemorySystem& mem_;
   Gpcfg& gpcfg_;
@@ -63,6 +103,10 @@ class Mdmc {
   PowerTrace& trace_;
   MdmcStats stats_;
   std::uint64_t ring_version_ = ~std::uint64_t{0};
+  bool word_ring_ = false;  // 2 <= q < 2^62
+  nt::Barrett64 red64_;
+  WordTwiddles tw64_;
+  std::vector<std::uint64_t> a64_, b64_;  // operand scratch
 };
 
 }  // namespace cofhee::chip

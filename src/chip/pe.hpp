@@ -6,7 +6,9 @@
 // has a 5-cycle latency with II = 1; add/sub are single-cycle.  The PE is
 // purely functional here -- cycle accounting lives in the MDMC, which knows
 // the memory schedule -- but it owns the Barrett reducer programmed from
-// the Q/BARRETTCTL registers and counts every operation it performs.
+// the Q/BARRETTCTL registers.  Its operations are the MDMC's generic
+// 128-bit path; the MDMC runs word-sized rings on 64-bit kernels instead
+// (chip/mdmc.hpp).
 #pragma once
 
 #include <cstdint>
@@ -25,13 +27,6 @@ enum class PeMode : std::uint8_t {
   kButterfly = 3,
 };
 
-struct PeCounters {
-  std::uint64_t mults = 0;
-  std::uint64_t adds = 0;
-  std::uint64_t subs = 0;
-  std::uint64_t butterflies = 0;
-};
-
 class Pe {
  public:
   explicit Pe(const ChipConfig& cfg) : cfg_(cfg) {}
@@ -41,36 +36,22 @@ class Pe {
   [[nodiscard]] u128 modulus() const noexcept { return red_.modulus(); }
   [[nodiscard]] const nt::Barrett128& ring() const noexcept { return red_; }
 
-  [[nodiscard]] u128 mod_mul(u128 a, u128 b) {
-    ++counters_.mults;
-    return red_.mul(a, b);
-  }
-  [[nodiscard]] u128 mod_add(u128 a, u128 b) {
-    ++counters_.adds;
-    return red_.add(a, b);
-  }
-  [[nodiscard]] u128 mod_sub(u128 a, u128 b) {
-    ++counters_.subs;
-    return red_.sub(a, b);
-  }
+  [[nodiscard]] u128 mod_mul(u128 a, u128 b) const { return red_.mul(a, b); }
+  [[nodiscard]] u128 mod_add(u128 a, u128 b) const { return red_.add(a, b); }
+  [[nodiscard]] u128 mod_sub(u128 a, u128 b) const { return red_.sub(a, b); }
   /// Plain (non-modular) multiply, low 128 bits -- the PMUL command.
-  [[nodiscard]] u128 mul_plain(u128 a, u128 b) {
-    ++counters_.mults;
-    return a * b;
-  }
+  [[nodiscard]] u128 mul_plain(u128 a, u128 b) const { return a * b; }
 
   /// Radix-2 Cooley-Tukey butterfly: (u + w*v, u - w*v).
   struct BflyOut {
     u128 lo, hi;
   };
-  [[nodiscard]] BflyOut butterfly_ct(u128 u, u128 v, u128 w) {
-    ++counters_.butterflies;
+  [[nodiscard]] BflyOut butterfly_ct(u128 u, u128 v, u128 w) const {
     const u128 m = mod_mul(v, w);
     return {mod_add(u, m), mod_sub(u, m)};
   }
   /// Radix-2 Gentleman-Sande butterfly: (u + v, (u - v)*w).
-  [[nodiscard]] BflyOut butterfly_gs(u128 u, u128 v, u128 w) {
-    ++counters_.butterflies;
+  [[nodiscard]] BflyOut butterfly_gs(u128 u, u128 v, u128 w) const {
     return {mod_add(u, v), mod_mul(mod_sub(u, v), w)};
   }
 
@@ -89,13 +70,9 @@ class Pe {
     return cfg_.mult_latency;
   }
 
-  [[nodiscard]] const PeCounters& counters() const noexcept { return counters_; }
-  void reset_counters() noexcept { counters_ = {}; }
-
  private:
   ChipConfig cfg_;
   nt::Barrett128 red_{u128{3}};
-  PeCounters counters_;
 };
 
 }  // namespace cofhee::chip

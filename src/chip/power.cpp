@@ -23,18 +23,32 @@ double PowerTrace::segment_power_mw(const PowerSegment& s) const {
   return pj_per_cycle / cycle_ns_;  // pJ/ns == mW
 }
 
+void PowerTrace::clear() {
+  total_pj_ = 0;
+  cycles_ = 0;
+  peak_mw_ = 0;
+  window_.clear();
+}
+
+void PowerTrace::append(const PowerSegment& seg) {
+  total_pj_ += segment_energy_pj(seg);
+  cycles_ += seg.cycles;
+  const double p = segment_power_mw(seg);
+  if (p > peak_mw_) peak_mw_ = p;
+  // Drop the older half when full: amortized O(1), never above kWindow.
+  if (window_.size() == kWindow)
+    window_.erase(window_.begin(),
+                  window_.begin() + static_cast<std::ptrdiff_t>(kWindow / 2));
+  window_.push_back(seg);
+}
+
 PowerReport PowerTrace::report() const {
   PowerReport r;
-  double total_pj = 0;
-  for (const auto& s : segments_) {
-    total_pj += segment_energy_pj(s);
-    r.cycles += s.cycles;
-    const double p = segment_power_mw(s);
-    if (p > r.peak_mw) r.peak_mw = p;
-  }
-  r.energy_uj = total_pj * 1e-6;
+  r.cycles = cycles_;
+  r.peak_mw = peak_mw_;
+  r.energy_uj = total_pj_ * 1e-6;
   const double total_ns = static_cast<double>(r.cycles) * cycle_ns_;
-  r.avg_mw = total_ns > 0 ? total_pj / total_ns : 0.0;
+  r.avg_mw = total_ns > 0 ? total_pj_ / total_ns : 0.0;
   return r;
 }
 

@@ -6,10 +6,15 @@
 // time; peak power is the highest per-cycle power across segments, which
 // reproduces the Table V observation that NTT (forward butterflies + DMA
 // staging active) peaks higher than iNTT's average.
+//
+// The trace is bounded: append() folds each segment into running totals
+// (energy, cycles, peak) in append order, and only the most recent
+// kWindow segments are kept for inspection.  A chip serving requests
+// forever holds a fixed-size trace.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "chip/config.hpp"
@@ -28,7 +33,7 @@ struct PowerSegment {
   std::uint64_t twiddle_reads = 0;
   std::uint64_t dma_words = 0;         // dedicated DMA passes
   bool dma_concurrent = false;         // background staging active
-  std::string label;
+  const char* label = "";              // static storage (literal or opcode name)
 };
 
 struct PowerReport {
@@ -44,11 +49,16 @@ class PowerTrace {
   explicit PowerTrace(EnergyTable table, double cycle_ns)
       : table_(table), cycle_ns_(cycle_ns) {}
 
-  void clear() { segments_.clear(); }
-  void append(PowerSegment seg) { segments_.push_back(std::move(seg)); }
+  /// Most segments segments() ever holds.
+  static constexpr std::size_t kWindow = 1024;
 
+  void clear();
+  void append(const PowerSegment& seg);
+
+  /// The most recent segments (at most kWindow), oldest first.  The report
+  /// covers every segment appended since the last clear().
   [[nodiscard]] const std::vector<PowerSegment>& segments() const noexcept {
-    return segments_;
+    return window_;
   }
 
   /// Energy of one segment in picojoules.
@@ -62,7 +72,10 @@ class PowerTrace {
  private:
   EnergyTable table_{};
   double cycle_ns_ = 4.0;
-  std::vector<PowerSegment> segments_;
+  double total_pj_ = 0;
+  std::uint64_t cycles_ = 0;
+  double peak_mw_ = 0;
+  std::vector<PowerSegment> window_;
 };
 
 }  // namespace cofhee::chip

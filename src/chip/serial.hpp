@@ -59,14 +59,14 @@ class SerialLink {
   /// a register window is byte-identical in effect to the equivalent
   /// sequence of host_write32 calls -- just one framed transaction instead
   /// of `count`, and 9 + 4*count wire bytes instead of 9*count.  This is
-  /// the frame the driver's batched register writes coalesce into.
+  /// the frame the driver's batched register writes coalesce into.  A burst
+  /// inside one data bank moves in one bus call (AhbBus::write_burst).
   void host_write_burst(std::uint32_t addr, const std::uint32_t* words,
                         std::size_t count) {
     pre_transaction();
     ++stats_.transactions;
     account_tx(9 + count * 4);
-    for (std::size_t i = 0; i < count; ++i)
-      bus_.write32(master_, addr + static_cast<std::uint32_t>(i) * 4, words[i]);
+    bus_.write_burst(master_, addr, words, count);
   }
 
   void host_read_burst(std::uint32_t addr, std::uint32_t* words, std::size_t count) {
@@ -74,8 +74,7 @@ class SerialLink {
     ++stats_.transactions;
     account_tx(9);
     account_rx(count * 4);
-    for (std::size_t i = 0; i < count; ++i)
-      words[i] = bus_.read32(master_, addr + static_cast<std::uint32_t>(i) * 4);
+    bus_.read_burst(master_, addr, words, count);
   }
 
   /// Compressed-upload frame (seed/delta key compression): the host ships a

@@ -1,6 +1,42 @@
 #include "chip/sram.hpp"
 
+#include <bit>
+#include <cstring>
+
 namespace cofhee::chip {
+
+namespace {
+
+// The bus beat at byte b is bits [8*(b % 16), 8*(b % 16) + 32) of word
+// b / 16.  On a little-endian host those are bytes [b, b + 4) of the word
+// array, so a burst of beats is one copy.
+static_assert(std::endian::native == std::endian::little,
+              "Sram bus bursts copy the little-endian word image");
+
+void check_beat_aligned(std::size_t byte_off) {
+  if (byte_off % 4 != 0)
+    throw std::invalid_argument("Sram: bus beats must be 4-byte aligned");
+}
+
+}  // namespace
+
+void Sram::read_words32(std::size_t byte_off, std::uint32_t* out, std::size_t count) {
+  check_beat_aligned(byte_off);
+  bounds_block(byte_off / 16, (byte_off % 16 + 4 * count + 15) / 16);
+  std::memcpy(out, reinterpret_cast<const unsigned char*>(data_.data()) + byte_off,
+              4 * count);
+  reads_ += count;
+}
+
+void Sram::write_words32(std::size_t byte_off, const std::uint32_t* words,
+                         std::size_t count) {
+  check_beat_aligned(byte_off);
+  bounds_block(byte_off / 16, (byte_off % 16 + 4 * count + 15) / 16);
+  std::memcpy(reinterpret_cast<unsigned char*>(data_.data()) + byte_off, words,
+              4 * count);
+  writes_ += count;
+  ++generation_;
+}
 
 MemorySystem::MemorySystem(const ChipConfig& cfg) {
   banks_.reserve(kNumBanks);

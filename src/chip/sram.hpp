@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -45,6 +46,7 @@ class Sram {
   void write(std::size_t addr, u128 value) {
     bounds(addr);
     ++writes_;
+    ++generation_;
     data_[addr] = value;
   }
 
@@ -56,12 +58,47 @@ class Sram {
   }
   void poke(std::size_t addr, u128 value) {
     bounds(addr);
+    ++generation_;
     data_[addr] = value;
   }
+
+  /// Block access for the MDMC's word-sized datapath: `count` consecutive
+  /// words, bounds-checked up front.  read_block/write_block account
+  /// exactly what `count` read()/write() calls would; peek_block accounts
+  /// nothing.  A write_block view is only valid until the next write.
+  [[nodiscard]] std::span<const u128> peek_block(std::size_t addr,
+                                                 std::size_t count) const {
+    bounds_block(addr, count);
+    return {data_.data() + addr, count};
+  }
+  std::span<const u128> read_block(std::size_t addr, std::size_t count) {
+    bounds_block(addr, count);
+    reads_ += count;
+    return {data_.data() + addr, count};
+  }
+  [[nodiscard]] std::span<u128> write_block(std::size_t addr, std::size_t count) {
+    bounds_block(addr, count);
+    writes_ += count;
+    ++generation_;
+    return {data_.data() + addr, count};
+  }
+
+  /// Bus view: `count` consecutive 32-bit beats from byte offset `byte_off`
+  /// (4-byte aligned, else std::invalid_argument), with the same effect and
+  /// access counts as one 32-bit bus access per beat -- the bulk form of the
+  /// bank's AHB slave handlers, used when a serial-link burst lies inside
+  /// this bank.
+  void read_words32(std::size_t byte_off, std::uint32_t* out, std::size_t count);
+  void write_words32(std::size_t byte_off, const std::uint32_t* words,
+                     std::size_t count);
 
   [[nodiscard]] std::uint64_t reads() const noexcept { return reads_; }
   [[nodiscard]] std::uint64_t writes() const noexcept { return writes_; }
   void reset_counters() noexcept { reads_ = writes_ = 0; }
+
+  /// Bumped by every store (write, poke, block and bus writes), never
+  /// reset: a cache derived from the bank contents is stale once it moves.
+  [[nodiscard]] std::uint64_t generation() const noexcept { return generation_; }
 
   /// Maximum word transfers this bank supports per cycle.
   [[nodiscard]] unsigned accesses_per_cycle() const noexcept { return ports_; }
@@ -71,12 +108,17 @@ class Sram {
     if (addr >= data_.size())
       throw std::out_of_range("Sram " + name_ + ": address out of range");
   }
+  void bounds_block(std::size_t addr, std::size_t count) const {
+    if (addr > data_.size() || count > data_.size() - addr)
+      throw std::out_of_range("Sram " + name_ + ": block out of range");
+  }
 
   std::string name_;
   unsigned ports_ = 1;
   unsigned read_latency_ = 2;
   std::vector<u128> data_;
   std::uint64_t reads_ = 0, writes_ = 0;
+  std::uint64_t generation_ = 0;
 };
 
 /// The full data-memory complement of the chip.

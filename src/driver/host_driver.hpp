@@ -95,8 +95,6 @@ class HostDriver {
   /// ring-reconfiguration cost the host pays between RNS towers.
   double configure_ring(u128 q, std::size_t n, u128 psi, bool timed = false);
 
-  /// Host-side mirror of the chip's NTT engine for the configured ring.
-  [[nodiscard]] const poly::MergedNtt128& ntt_engine() const { return engine_; }
   /// Configured polynomial degree (0 before configure_ring).
   [[nodiscard]] std::size_t n() const noexcept { return n_; }
   /// Configured modulus (0 before configure_ring).
@@ -219,7 +217,6 @@ class HostDriver {
   CofheeChip& chip_;
   ExecMode mode_;
   Link link_;
-  poly::MergedNtt128 engine_;
   std::size_t n_ = 0;
   u128 q_ = 0;
   std::uint32_t probe_nonce_ = 0;

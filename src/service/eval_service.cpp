@@ -647,11 +647,9 @@ void EvalService::host_finish(Session& s) {
     if (s.errs[r] != nullptr) return;  // promise settled (or requeued) in retire()
     try {
       auto& slot = s.slots[r];
-      if (s.round[r].req.kind == RequestKind::kEvalMult) {
-        s.round[r].promise.set_value(ChipBfvEvaluator::assemble(scheme_, slot.tensors));
-      } else {
-        s.round[r].promise.set_value(ChipBfvEvaluator::assemble_relin(slot.relin_accs));
-      }
+      slot.result = s.round[r].req.kind == RequestKind::kEvalMult
+                        ? ChipBfvEvaluator::assemble(scheme_, slot.tensors)
+                        : ChipBfvEvaluator::assemble_relin(slot.relin_accs);
     } catch (...) {
       s.errs[r] = std::current_exception();
     }
@@ -693,9 +691,6 @@ void EvalService::retire(Session& s) {
       // requeue -- a requeued request still occupies its tenant's quota.
       if (tenancy_enabled_) tenancy_release_locked(p.so.tenant, now);
       if (s.errs[i] != nullptr) {
-        // Promise settlement was deferred past host_finish precisely so the
-        // requeue branch above could reclaim it; settle it now.
-        p.promise.set_exception(s.errs[i]);
         ++stats_.failed;
         ++cls.failed;
         ++ten.counts.failed;
@@ -713,6 +708,15 @@ void EvalService::retire(Session& s) {
       class_latency_[cls_idx].record(lat);
       ten.latency.record(lat);
       if (latency_hist_[cls_idx] != nullptr) latency_hist_[cls_idx]->observe(lat);
+      // Publish only after the books count it: a client that has its
+      // result must never read stats() that miss it.  Settlement is
+      // deferred past host_finish also so the requeue branch above can
+      // reclaim a faulted request's promise.
+      if (s.errs[i] != nullptr) {
+        p.promise.set_exception(s.errs[i]);
+      } else {
+        p.promise.set_value(std::move(s.slots[i].result));
+      }
     }
     in_flight_ -= s.round.size();
     last_done_ = Clock::now();

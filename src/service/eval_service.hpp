@@ -266,6 +266,7 @@ class EvalService {
     driver::RelinOperands relin;                 // kRelinearize / kMultRelin
     std::vector<driver::TowerTensor> tensors;    // tensor-stage outputs
     std::vector<driver::RelinTowerAcc> relin_accs;  // key-switch outputs
+    bfv::Ciphertext result;  // assembled in host_finish, published in retire()
   };
 
   /// One dispatcher round flowing through the K-slot session ring.

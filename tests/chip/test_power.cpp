@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "bfv/encoder.hpp"
+#include "driver/chip_bfv.hpp"
+
 namespace cofhee::chip {
 namespace {
 
@@ -69,6 +74,53 @@ TEST(PowerTrace, ClearResets) {
   tr.append(s);
   tr.clear();
   EXPECT_EQ(tr.report().cycles, 0u);
+}
+
+TEST(PowerTrace, WindowKeepsTheMostRecentSegments) {
+  PowerTrace tr(EnergyTable{}, 4.0);
+  for (std::uint64_t i = 1; i <= 3 * PowerTrace::kWindow; ++i) {
+    PowerSegment s;
+    s.cycles = i;
+    tr.append(s);
+    ASSERT_LE(tr.segments().size(), PowerTrace::kWindow);
+  }
+  EXPECT_EQ(tr.segments().back().cycles, 3 * PowerTrace::kWindow);
+  EXPECT_EQ(tr.report().cycles, 3 * PowerTrace::kWindow * (3 * PowerTrace::kWindow + 1) / 2);
+}
+
+TEST(PowerTrace, StaysBoundedOverManyRequests) {
+  // 200 test_tiny EvalMults on one long-lived chip: the trace holds at most
+  // kWindow segments, and its report is the fold of per-request reports
+  // taken on a twin chip whose trace is cleared before every request.
+  bfv::Bfv scheme{bfv::BfvParams::test_tiny(), 3};
+  const auto sk = scheme.keygen_secret();
+  const auto pk = scheme.keygen_public(sk);
+  bfv::IntegerEncoder enc(scheme.context());
+  const auto ca = scheme.encrypt(pk, enc.encode(12));
+  const auto cb = scheme.encrypt(pk, enc.encode(-5));
+
+  CofheeChip served, twin;
+  driver::ChipBfvEvaluator ev_served(served), ev_twin(twin);
+  double energy_uj = 0;
+  double peak_mw = 0;
+  std::uint64_t cycles = 0;
+  for (int r = 0; r < 200; ++r) {
+    (void)ev_served.multiply(scheme, ca, cb);
+    twin.power_trace().clear();
+    (void)ev_twin.multiply(scheme, ca, cb);
+    const auto rep = twin.power_trace().report();
+    energy_uj += rep.energy_uj;
+    peak_mw = std::max(peak_mw, rep.peak_mw);
+    cycles += rep.cycles;
+    ASSERT_LE(served.power_trace().segments().size(), PowerTrace::kWindow);
+  }
+  const auto total = served.power_trace().report();
+  EXPECT_EQ(total.cycles, cycles);
+  EXPECT_EQ(total.peak_mw, peak_mw);
+  EXPECT_NEAR(total.energy_uj, energy_uj, 1e-12 * energy_uj);
+  EXPECT_NEAR(total.avg_mw,
+              energy_uj * 1e6 / (static_cast<double>(cycles) * served.config().cycle_ns()),
+              1e-12 * total.avg_mw);
 }
 
 }  // namespace

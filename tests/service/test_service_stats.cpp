@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <random>
 #include <thread>
 #include <vector>
@@ -150,7 +151,9 @@ TEST(ServiceStatsPoll, ConcurrentScrapesNeverDisturbTraffic) {
   // A poller thread scrapes stats() as fast as it can while a request batch
   // flows through a 2-chip farm under the fairness scheduler (per-class and
   // per-tenant windows all live).  Results must stay bit-exact and every
-  // scrape internally consistent (completed <= submitted).
+  // scrape internally consistent (completed <= submitted); a result the
+  // client holds is already counted.  Traffic starts only after the first
+  // scrape, so a fast farm cannot finish before the poller runs.
   bfv::Bfv scheme{bfv::BfvParams::test_tiny(32), /*seed=*/23};
   const auto sk = scheme.keygen_secret();
   const auto pk = scheme.keygen_public(sk);
@@ -164,15 +167,17 @@ TEST(ServiceStatsPoll, ConcurrentScrapesNeverDisturbTraffic) {
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> scrapes{0};
+  std::promise<void> first_scrape;
   std::thread poller([&] {
     while (!stop.load(std::memory_order_relaxed)) {
       const auto st = svc.stats();
       EXPECT_LE(st.completed + st.failed, st.submitted);
       for (const auto& cls : st.per_class)
         EXPECT_LE(cls.completed + cls.failed, cls.submitted);
-      scrapes.fetch_add(1, std::memory_order_relaxed);
+      if (scrapes.fetch_add(1, std::memory_order_relaxed) == 0) first_scrape.set_value();
     }
   });
+  first_scrape.get_future().wait();
 
   std::vector<std::int64_t> xs = {3, -5, 7, 11, -2, 9, 1, -8};
   std::vector<std::future<bfv::Ciphertext>> futs;
@@ -187,6 +192,8 @@ TEST(ServiceStatsPoll, ConcurrentScrapesNeverDisturbTraffic) {
   for (std::size_t i = 0; i < futs.size(); ++i) {
     const auto got = futs[i].get();
     EXPECT_EQ(enc.decode(scheme.decrypt(sk, got)), xs[i] * 2);
+    const auto st = svc.stats();
+    EXPECT_GE(st.completed + st.failed, i + 1);
   }
   stop.store(true);
   poller.join();
