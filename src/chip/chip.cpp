@@ -3,7 +3,7 @@
 namespace cofhee::chip {
 
 CofheeChip::CofheeChip(ChipConfig cfg, EnergyTable energy)
-    : cfg_(cfg), mem_(cfg), trace_(energy, cfg.cycle_ns()), pe_(cfg),
+    : cfg_(cfg), mem_(cfg), trace_(energy, cfg.cycle_ns()),
       mdmc_(cfg, mem_, gpcfg_, pe_, trace_), dma_(cfg, mem_, trace_),
       fifo_(cfg, mdmc_, gpcfg_),
       uart_(bus_, 3'000'000.0),   // FTDI bring-up link (Section V-F)

@@ -9,15 +9,6 @@
 
 namespace cofhee::chip {
 
-namespace {
-
-/// Shoup constant floor(w * 2^64 / q) of a multiplier w < q.
-std::uint64_t shoup(std::uint64_t w, std::uint64_t q) {
-  return static_cast<std::uint64_t>((static_cast<u128>(w) << 64) / q);
-}
-
-}  // namespace
-
 void Mdmc::refresh_ring() {
   if (ring_version_ != gpcfg_.q_version()) {
     const u128 q = gpcfg_.q();
@@ -73,7 +64,7 @@ std::uint64_t Mdmc::exec_ntt(const Instr& in, bool inverse) {
     throw std::invalid_argument("Mdmc: NTT length must match the N register");
   if (!nt::is_power_of_two(n)) throw std::invalid_argument("Mdmc: N not a power of 2");
   const unsigned ii = ntt_ii(in);
-  if (!word_ntt(in, inverse, n)) pe_ntt(in, inverse, n);
+  run_ntt(in, inverse, n);
   const std::uint64_t cycles = cfg_.cmd_issue_cycles + charge_ntt(n, inverse, ii);
   gpcfg_.raise_irq(kIrqOpDone);
   return cycles;
@@ -137,68 +128,6 @@ std::uint64_t Mdmc::charge_ntt(std::size_t n, bool inverse, unsigned ii) {
   return cycles;
 }
 
-void Mdmc::pe_ntt(const Instr& in, bool inverse, std::size_t n) {
-  const unsigned logn = nt::log2_exact(n);
-  Sram& src = mem_.bank(in.x.bank);
-  Sram& dst = mem_.bank(in.dst.bank);
-  Sram& tw = mem_.bank(Bank::kTw);
-
-  // Fetch the working vector.  The silicon ping-pongs between the two
-  // dual-port banks stage by stage; the model computes stages in a local
-  // buffer and charges the same per-stage memory traffic, storing the final
-  // stage into dst (bank-parity handling is abstracted away -- it does not
-  // change cycle counts or results).
-  std::vector<u128> x(n);
-  for (std::size_t i = 0; i < n; ++i) x[i] = src.read(in.x.offset + i);
-
-  if (!inverse) {
-    // CT/DIT merged negacyclic forward transform (natural -> bit-reversed).
-    std::size_t t = n;
-    for (std::size_t m = 1; m < n; m <<= 1) {
-      t >>= 1;
-      for (std::size_t i = 0; i < m; ++i) {
-        const u128 s = tw.read(m + i);  // psi^rev(m+i) from the twiddle ROM
-        const std::size_t j1 = 2 * i * t;
-        for (std::size_t j = j1; j < j1 + t; ++j) {
-          const auto o = pe_.butterfly_ct(x[j], x[j + t], s);
-          x[j] = o.lo;
-          x[j + t] = o.hi;
-        }
-      }
-    }
-  } else {
-    // GS/DIF merged inverse transform (bit-reversed -> natural).  Inverse
-    // twiddles come from the mirror pass over the shared ROM:
-    // psi^-rev(i) = -psi^(n - rev(i)).
-    std::vector<u128> tw_stage(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t e = nt::bit_reverse(i, logn);
-      tw_stage[i] = e == 0 ? u128{1}
-                           : pe_.ring().neg(tw.peek(nt::bit_reverse(n - e, logn)));
-    }
-    std::size_t t = 1;
-    for (std::size_t m = n; m > 1; m >>= 1) {
-      const std::size_t h = m >> 1;
-      std::size_t j1 = 0;
-      for (std::size_t i = 0; i < h; ++i) {
-        const u128 s = tw_stage[h + i];
-        for (std::size_t j = j1; j < j1 + t; ++j) {
-          const auto o = pe_.butterfly_gs(x[j], x[j + t], s);
-          x[j] = o.lo;
-          x[j + t] = o.hi;
-        }
-        j1 += 2 * t;
-      }
-      t <<= 1;
-    }
-    // Trailing CMODMUL by INV_POLYDEG (n^-1 mod q).
-    const u128 ninv = gpcfg_.inv_polydeg();
-    for (auto& c : x) c = pe_.mod_mul(c, ninv);
-  }
-
-  for (std::size_t i = 0; i < n; ++i) dst.write(in.dst.offset + i, x[i]);
-}
-
 bool Mdmc::narrow(std::span<const u128> words, std::vector<std::uint64_t>& out) const {
   const u128 q = red64_.modulus();
   out.resize(words.size());
@@ -210,74 +139,54 @@ bool Mdmc::narrow(std::span<const u128> words, std::vector<std::uint64_t>& out) 
   return canonical;
 }
 
-const Mdmc::WordTwiddles* Mdmc::word_twiddles(std::size_t n) {
-  const Sram& rom = mem_.bank(Bank::kTw);
-  WordTwiddles& c = tw64_;
-  if (c.q_version == gpcfg_.q_version() && c.tw_generation == rom.generation() &&
-      c.n == n)
-    return c.usable ? &c : nullptr;
-  c.q_version = gpcfg_.q_version();
-  c.tw_generation = rom.generation();
-  c.n = n;
-  c.usable = n <= rom.words() && narrow(rom.peek_block(0, n), c.fwd);
-  if (!c.usable) return nullptr;
-  const std::uint64_t q = red64_.modulus();
-  const unsigned logn = nt::log2_exact(n);
-  c.fwd_shoup.resize(n);
-  c.inv.resize(n);
-  c.inv_shoup.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t e = nt::bit_reverse(i, logn);
-    c.inv[i] = e == 0 ? 1 : red64_.neg(c.fwd[nt::bit_reverse(n - e, logn)]);
-    c.fwd_shoup[i] = shoup(c.fwd[i], q);
-    c.inv_shoup[i] = shoup(c.inv[i], q);
-  }
-  return &c;
+Mdmc::NttEngines& Mdmc::ntt_engines(std::size_t n) {
+  const Sram& tw = mem_.bank(Bank::kTw);
+  const u128 ninv = gpcfg_.inv_polydeg();
+  NttEngines& e = ntt_;
+  if (e.q_version == gpcfg_.q_version() && e.tw_generation == tw.generation() &&
+      e.n == n && e.inv_polydeg == ninv)
+    return e;
+  const auto rom = tw.peek_block(0, n);
+  e = NttEngines{gpcfg_.q_version(), tw.generation(), n, ninv, {}, {}};
+  std::vector<std::uint64_t> rom64;
+  if (word_ring_ && ninv < red64_.modulus() && narrow(rom, rom64))
+    e.word.emplace(red64_, std::move(rom64), static_cast<std::uint64_t>(ninv));
+  return e;
 }
 
-bool Mdmc::word_ntt(const Instr& in, bool inverse, std::size_t n) {
-  if (!word_ring_) return false;
+void Mdmc::run_ntt(const Instr& in, bool inverse, std::size_t n) {
+  // The silicon ping-pongs between the two dual-port banks stage by stage;
+  // the model transforms a copy of the operand and charges the same memory
+  // traffic: the operand fetch, on the forward transform one ROM read per
+  // butterfly group (words 1 .. n-1), and the result store.  The mirror
+  // pass's inverse twiddles are charged as DMA words by charge_ntt.
   Sram& src = mem_.bank(in.x.bank);
   Sram& dst = mem_.bank(in.dst.bank);
-  if (in.x.offset + n > src.words() || in.dst.offset + n > dst.words()) return false;
-  const std::uint64_t q = red64_.modulus();
-  const u128 ninv = gpcfg_.inv_polydeg();
-  if (inverse && ninv >= q) return false;
-  const WordTwiddles* tw = word_twiddles(n);
-  if (tw == nullptr || !narrow(src.peek_block(in.x.offset, n), a64_)) return false;
-
-  // Same accesses as the PE path: the operand fetch, and on the forward
-  // transform one ROM read per butterfly group (words 1 .. n-1).
+  Sram& tw = mem_.bank(Bank::kTw);
+  const auto x = src.peek_block(in.x.offset, n);
+  (void)dst.peek_block(in.dst.offset, n);  // bounds-check before any write
+  NttEngines& e = ntt_engines(n);
   src.read_block(in.x.offset, n);
-  const auto& K = nt::simd::kernels();
-  std::uint64_t* x = a64_.data();
-  if (!inverse) {
-    mem_.bank(Bank::kTw).read_block(1, n - 1);
-    std::size_t t = n;
-    for (std::size_t m = 1; m < n; m <<= 1) {
-      t >>= 1;
-      for (std::size_t i = 0; i < m; ++i) {
-        const std::size_t j1 = 2 * i * t;
-        K.ct_butterfly(x + j1, x + j1 + t, t, tw->fwd[m + i], tw->fwd_shoup[m + i], q);
-      }
+  if (!inverse) tw.read_block(1, n - 1);
+
+  const auto run = [&](const auto& eng, auto& words) {
+    if (inverse) {
+      eng.inverse(words);
+    } else {
+      eng.forward(words);
     }
-    K.canonicalize(x, n, q);
-  } else {
-    std::size_t t = 1;
-    for (std::size_t m = n; m > 1; m >>= 1) {
-      const std::size_t h = m >> 1;
-      std::size_t j1 = 0;
-      for (std::size_t i = 0; i < h; ++i) {
-        K.gs_butterfly(x + j1, x + j1 + t, t, tw->inv[h + i], tw->inv_shoup[h + i], q);
-        j1 += 2 * t;
-      }
-      t <<= 1;
-    }
-    const auto w = static_cast<std::uint64_t>(ninv);
-    K.scalar_mul_shoup(x, n, w, shoup(w, q), q);
+    std::copy(words.begin(), words.end(), dst.write_block(in.dst.offset, n).begin());
+  };
+  if (e.word && narrow(x, a64_)) {
+    run(*e.word, a64_);
+    return;
   }
-  std::copy(a64_.begin(), a64_.end(), dst.write_block(in.dst.offset, n).begin());
-  return true;
+  if (!e.wide) {
+    const auto rom = tw.peek_block(0, n);
+    e.wide.emplace(pe_.ring(), std::vector<u128>(rom.begin(), rom.end()), e.inv_polydeg);
+  }
+  poly::Coeffs<u128> words(x.begin(), x.end());
+  run(*e.wide, words);
 }
 
 std::uint64_t Mdmc::exec_pointwise(const Instr& in) {
@@ -397,7 +306,7 @@ bool Mdmc::word_pointwise(const Instr& in, std::size_t len) {
       break;
     default: {  // kCModMul
       const auto w = static_cast<std::uint64_t>(c);
-      K.scalar_mul_shoup(a, len, w, shoup(w, q), q);
+      K.scalar_mul_shoup(a, len, w, nt::shoup_constant(w, q), q);
       break;
     }
   }

@@ -15,16 +15,19 @@
 // II is 1 when both ping/pong NTT buffers are dual-port banks and 2
 // otherwise (Section III-C: single-port operation at n >= 2^14).
 //
-// Two datapaths compute the same words.  When the programmed q < 2^62 and
-// every operand, twiddle and INV_POLYDEG/CMODMUL constant word is < q,
-// NTT/iNTT and the modular pointwise ops run on a 64-bit copy of the
-// operands with the nt::simd kernels (Shoup-twiddle butterflies, Barrett64
-// products).  Anything else -- wide rings, non-canonical words, PMUL's
-// plain 128-bit product -- takes the PE's 128-bit Barrett path.  Cycles,
-// power segments and SRAM access counts do not depend on the datapath.
+// NTT/iNTT run the host's merged engines (poly/merged_ntt.hpp) built from
+// the TW-bank ROM and INV_POLYDEG, cached per (Gpcfg::q_version(), TW-bank
+// Sram::generation(), n, INV_POLYDEG value): poly::MergedNtt64 (Shoup
+// twiddles, nt::simd butterflies) when q < 2^62 and every ROM word,
+// INV_POLYDEG and operand word is < q, else poly::MergedNtt128 over the
+// PE's Barrett reducer.  The modular pointwise ops likewise run 64-bit
+// kernels when q < 2^62 and every consumed word is canonical, else the PE's
+// 128-bit path (which PMUL's plain product always takes).  Cycles, power
+// segments and SRAM access counts do not depend on the datapath.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -35,6 +38,7 @@
 #include "chip/power.hpp"
 #include "chip/sram.hpp"
 #include "nt/barrett.hpp"
+#include "poly/merged_ntt.hpp"
 
 namespace cofhee::chip {
 
@@ -71,28 +75,27 @@ class Mdmc {
   /// their cycles.
   std::uint64_t charge_ntt(std::size_t n, bool inverse, unsigned ii);
 
-  // 128-bit Barrett datapath (the PE).
-  void pe_ntt(const Instr& in, bool inverse, std::size_t n);
+  /// NTT/iNTT of the operand into the destination on the cached engines.
+  void run_ntt(const Instr& in, bool inverse, std::size_t n);
   void pe_pointwise(const Instr& in, std::size_t len);
-
-  // 64-bit datapath; each returns false, having changed nothing, when the
-  // command does not qualify.
-  bool word_ntt(const Instr& in, bool inverse, std::size_t n);
+  /// The 64-bit pointwise path; returns false, having changed nothing, when
+  /// the command does not qualify.
   bool word_pointwise(const Instr& in, std::size_t len);
 
-  /// TW-bank twiddles narrowed to 64 bits with their Shoup constants, for
-  /// one (Q write, TW-bank contents, n).
-  struct WordTwiddles {
+  /// The merged NTT engines for one (Q write, TW-bank contents, n,
+  /// INV_POLYDEG): `word` when q < 2^62 and every ROM word and INV_POLYDEG
+  /// is < q; `wide`, over the PE's reducer, built on first use.
+  struct NttEngines {
     std::uint64_t q_version = ~std::uint64_t{0};
     std::uint64_t tw_generation = ~std::uint64_t{0};
     std::size_t n = 0;
-    bool usable = false;  // every ROM word in [0, n) is < q
-    std::vector<std::uint64_t> fwd, fwd_shoup;  // ROM word i
-    std::vector<std::uint64_t> inv, inv_shoup;  // mirror-pass word i
+    u128 inv_polydeg = 0;
+    std::optional<poly::MergedNtt64> word;
+    std::optional<poly::MergedNtt128> wide;
   };
-  /// The twiddles for `n`, rebuilt when Q or the TW bank was written;
-  /// nullptr when a ROM word is >= q.
-  const WordTwiddles* word_twiddles(std::size_t n);
+  /// The engines for `n`, rebuilt when Q, the TW bank or INV_POLYDEG was
+  /// written; std::out_of_range when the ROM is shorter than n.
+  NttEngines& ntt_engines(std::size_t n);
   /// Narrow `words` into `out`; false when a word is >= q.
   bool narrow(std::span<const u128> words, std::vector<std::uint64_t>& out) const;
 
@@ -105,7 +108,7 @@ class Mdmc {
   std::uint64_t ring_version_ = ~std::uint64_t{0};
   bool word_ring_ = false;  // 2 <= q < 2^62
   nt::Barrett64 red64_;
-  WordTwiddles tw64_;
+  NttEngines ntt_;
   std::vector<std::uint64_t> a64_, b64_;  // operand scratch
 };
 

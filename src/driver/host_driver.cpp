@@ -56,13 +56,14 @@ double HostDriver::configure_ring(u128 q, std::size_t n, u128 psi, bool timed) {
     return 0.0;
   }
 
-  const poly::MergedNtt128 engine(nt::Barrett128(q), n, psi);
-  const auto& rom = engine.twiddle_rom();  // psi^rev(i), one word per coeff
+  const nt::Barrett128 ring(q);
+  const auto rom = poly::twiddle_rom(ring, n, psi);  // psi^rev(i), one word per coeff
+  const u128 n_inv = ring.inv(static_cast<u128>(n));
   if (!timed) {
     auto& gp = chip_.gpcfg();
     gp.set_q(q);
     gp.set_n(n);
-    gp.set_inv_polydeg(engine.n_inv());
+    gp.set_inv_polydeg(n_inv);
     chip_.load_coeffs(Bank::kTw, 0, rom);
     // The backdoor leaves the chip in the same resident state as a timed
     // programming pass, so record it (no hit/miss accounting: nothing was
@@ -112,7 +113,7 @@ double HostDriver::configure_ring(u128 q, std::size_t n, u128 psi, bool timed) {
     lk.host_write_burst(reg_addr(Reg::kBarrettCtl1), bw.data(), bw.size());
     lk.host_write32(reg_addr(Reg::kFheCtl1), nt::log2_exact(n));
     std::array<std::uint32_t, 4> iw{};
-    v = engine.n_inv();
+    v = n_inv;
     for (auto& w : iw) {
       w = static_cast<std::uint32_t>(v);
       v >>= 32;
@@ -127,7 +128,7 @@ double HostDriver::configure_ring(u128 q, std::size_t n, u128 psi, bool timed) {
     for (std::uint32_t w = 0; w < bc.ctl2.size(); ++w)
       lk.host_write32(reg_addr(Reg::kBarrettCtl2_0) + w * 4, bc.ctl2[w]);
     lk.host_write32(reg_addr(Reg::kFheCtl1), nt::log2_exact(n));
-    write_wide(Reg::kInvPolyDeg0, engine.n_inv(), 4);
+    write_wide(Reg::kInvPolyDeg0, n_inv, 4);
   }
 
   std::vector<std::uint32_t> words(rom.size() * 4);

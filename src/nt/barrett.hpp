@@ -81,15 +81,18 @@ class Barrett64 {
   unsigned k_ = 0;
 };
 
+/// Shoup constant w' = floor(w * 2^64 / q) of a fixed multiplier w < q.
+[[nodiscard]] inline u64 shoup_constant(u64 w, u64 q) noexcept {
+  return static_cast<u64>((static_cast<u128>(w) << 64) / q);
+}
+
 /// Shoup precomputation for repeated multiplication by a fixed operand w:
-/// w' = floor(w * 2^64 / q).  mul_shoup(x) costs one 64x64 high product and
+/// w' = shoup_constant(w, q).  mul_shoup(x) costs one 64x64 high product and
 /// one low product -- the software NTT hot path.
 class ShoupMul {
  public:
   ShoupMul() = default;
-  ShoupMul(u64 w, u64 q) : w_(w), q_(q) {
-    wshoup_ = static_cast<u64>((static_cast<u128>(w) << 64) / q);
-  }
+  ShoupMul(u64 w, u64 q) : w_(w), q_(q), wshoup_(shoup_constant(w, q)) {}
 
   [[nodiscard]] u64 operand() const noexcept { return w_; }
 

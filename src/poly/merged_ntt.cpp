@@ -4,41 +4,24 @@
 
 namespace cofhee::poly {
 
-namespace {
-inline u64 shoup_of(u64 w, u64 q) noexcept {
-  return static_cast<u64>((static_cast<u128>(w) << 64) / q);
+MergedNtt64::MergedNtt64(const nt::Barrett64& red, std::vector<u64> rom, u64 n_inv)
+    : red_(red), n_(rom.size()), n_inv_(n_inv),
+      n_inv_shoup_(nt::shoup_constant(n_inv, red.modulus())) {
+  tw_inv_ = detail::mirror_twiddles(red, rom);
+  tw_ = std::move(rom);
+  const auto shoup_all = [q = red.modulus()](const std::vector<u64>& w) {
+    std::vector<u64> s(w.size());
+    for (std::size_t i = 0; i < w.size(); ++i) s[i] = nt::shoup_constant(w[i], q);
+    return s;
+  };
+  tw_shoup_ = shoup_all(tw_);
+  tw_inv_shoup_ = shoup_all(tw_inv_);
 }
-}  // namespace
 
 MergedNtt64::MergedNtt64(const nt::Barrett64& red, std::size_t n, u64 psi)
-    : red_(red), n_(n) {
-  if (!nt::is_power_of_two(n) || n < 2)
-    throw std::invalid_argument("MergedNtt64: n must be 2^k, k >= 1");
-  if (red.pow(psi, static_cast<u64>(n)) != red.modulus() - 1)
-    throw std::invalid_argument("MergedNtt64: psi is not a primitive 2n-th root");
-  const unsigned logn = nt::log2_exact(n);
-  const u64 q = red.modulus();
-  const u64 psi_inv = red.inv(psi);
-  std::vector<u64> pow(n), pow_inv(n);
-  u64 p = 1, pi = 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    pow[i] = p;
-    pow_inv[i] = pi;
-    p = red.mul(p, psi);
-    pi = red.mul(pi, psi_inv);
-  }
-  tw_.resize(n);
-  tw_shoup_.resize(n);
-  tw_inv_.resize(n);
-  tw_inv_shoup_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    tw_[i] = pow[nt::bit_reverse(i, logn)];
-    tw_shoup_[i] = shoup_of(tw_[i], q);
-    tw_inv_[i] = pow_inv[nt::bit_reverse(i, logn)];
-    tw_inv_shoup_[i] = shoup_of(tw_inv_[i], q);
-  }
+    : MergedNtt64(red, poly::twiddle_rom(red, n, psi), 0) {
   n_inv_ = red.inv(static_cast<u64>(n));
-  n_inv_shoup_ = shoup_of(n_inv_, q);
+  n_inv_shoup_ = nt::shoup_constant(n_inv_, red.modulus());
 }
 
 void MergedNtt64::forward(Coeffs<u64>& x) const {

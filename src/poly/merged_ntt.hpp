@@ -11,6 +11,11 @@
 // Section VIII-B: "CoFHEE uses the same twiddle factors for both
 // operations"), with the iNTT's DMA-assisted reorder pass doing the
 // derivation on silicon.
+//
+// Both engines have a ROM constructor, (ring, ROM words, n^-1), and that is
+// the engine the chip model runs: chip::Mdmc builds one from the TW bank
+// and INV_POLYDEG it was programmed with.  The (ring, n, psi) constructors
+// build the ROM with twiddle_rom() and delegate to it.
 #pragma once
 
 #include <cstdint>
@@ -23,32 +28,58 @@
 
 namespace cofhee::poly {
 
+/// The twiddle ROM image psi^rev(i), i < n -- what the host preloads into
+/// the chip's TW bank.  n must be 2^k (k >= 1), psi a primitive 2n-th root.
+template <class Red, class T>
+std::vector<T> twiddle_rom(const Red& red, std::size_t n, T psi) {
+  if (!nt::is_power_of_two(n) || n < 2)
+    throw std::invalid_argument("twiddle_rom: n must be 2^k, k >= 1");
+  if (red.pow(psi, static_cast<T>(n)) != red.modulus() - 1)
+    throw std::invalid_argument("twiddle_rom: psi is not a primitive 2n-th root");
+  const unsigned logn = nt::log2_exact(n);
+  std::vector<T> rom(n);
+  T p = 1;  // psi^e, stored at rev(e) (bit reversal is an involution)
+  for (std::size_t e = 0; e < n; ++e) {
+    rom[nt::bit_reverse(e, logn)] = p;
+    p = red.mul(p, psi);
+  }
+  return rom;
+}
+
+namespace detail {
+/// The iNTT twiddles the mirror pass reads out of a ROM of any power-of-two
+/// size: word i is 1 for e = rev(i) = 0, else -rom[rev(n - e)]
+/// (= psi^-e for a ROM of psi powers).
+template <class Red, class T>
+std::vector<T> mirror_twiddles(const Red& red, const std::vector<T>& rom) {
+  const std::size_t n = rom.size();
+  if (!nt::is_power_of_two(n))
+    throw std::invalid_argument("MergedNtt: ROM size must be a power of two");
+  const unsigned logn = nt::log2_exact(n);
+  std::vector<T> inv(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t e = nt::bit_reverse(i, logn);
+    inv[i] = e == 0 ? T{1} : red.neg(rom[nt::bit_reverse(n - e, logn)]);
+  }
+  return inv;
+}
+}  // namespace detail
+
 template <class Red, class T>
 class MergedNtt {
  public:
   MergedNtt() = default;
 
-  MergedNtt(const Red& red, std::size_t n, T psi) : red_(red), n_(n) {
-    if (!nt::is_power_of_two(n) || n < 2)
-      throw std::invalid_argument("MergedNtt: n must be 2^k, k >= 1");
-    if (red.pow(psi, static_cast<T>(n)) != red.modulus() - 1)
-      throw std::invalid_argument("MergedNtt: psi is not a primitive 2n-th root");
-    const unsigned logn = nt::log2_exact(n);
-    const T psi_inv = red.inv(psi);
-    std::vector<T> pow(n), pow_inv(n);
-    T p = 1, pi = 1;
-    for (std::size_t i = 0; i < n; ++i) {
-      pow[i] = p;
-      pow_inv[i] = pi;
-      p = red.mul(p, psi);
-      pi = red.mul(pi, psi_inv);
-    }
-    tw_.resize(n);
-    tw_inv_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      tw_[i] = pow[nt::bit_reverse(i, logn)];
-      tw_inv_[i] = pow_inv[nt::bit_reverse(i, logn)];
-    }
+  /// The engine for a twiddle ROM (forward twiddles as given, inverse ones
+  /// by the mirror pass) and the iNTT's trailing scale n_inv.
+  MergedNtt(const Red& red, std::vector<T> rom, T n_inv)
+      : red_(red), n_(rom.size()), n_inv_(n_inv) {
+    tw_inv_ = detail::mirror_twiddles(red, rom);
+    tw_ = std::move(rom);
+  }
+
+  MergedNtt(const Red& red, std::size_t n, T psi)
+      : MergedNtt(red, poly::twiddle_rom(red, n, psi), T{}) {
     n_inv_ = red.inv(static_cast<T>(n));
   }
 
@@ -141,6 +172,9 @@ using MergedNtt128 = MergedNtt<nt::Barrett128, u128>;
 class MergedNtt64 {
  public:
   MergedNtt64() = default;
+  /// The engine for a twiddle ROM and n^-1, as MergedNtt's; every word
+  /// must be < q.
+  MergedNtt64(const nt::Barrett64& red, std::vector<u64> rom, u64 n_inv);
   MergedNtt64(const nt::Barrett64& red, std::size_t n, u64 psi);
 
   [[nodiscard]] std::size_t n() const noexcept { return n_; }

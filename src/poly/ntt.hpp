@@ -1,8 +1,11 @@
 // Number Theoretic Transform engines.
 //
-// Two implementations, both tested against the schoolbook reference:
+// Two implementations, both tested against the schoolbook product.  The
+// chip model and BFV's ciphertext products run neither: they run the merged
+// engines of poly/merged_ntt.hpp.
 //
-//  * CyclicNtt<Red, T> -- the chip-faithful path.  Forward transform is a
+//  * CyclicNtt<Red, T> -- the paper's explicit psi-scaling form
+//    (Algorithms 1-2), kept as a reference.  Forward transform is a
 //    Gentleman-Sande decimation-in-frequency pass over the n-th root omega
 //    (natural input -> bit-reversed output); inverse is a Cooley-Tukey
 //    decimation-in-time pass (bit-reversed input -> natural output) plus the
@@ -16,9 +19,10 @@
 //    Table XI ((n/2)*log2 n butterflies) confirm the full log2 n stages, so
 //    we implement the complete transform.
 //
-//  * NegacyclicNtt64 -- the software baseline path (SEAL-style): psi powers
+//  * NegacyclicNtt64 -- the unfused scalar SEAL-style engine: psi powers
 //    merged into the twiddles (Longa-Naehrig), Shoup precomputation, u64
-//    towers.  This is what the CPU comparison of Fig. 6 runs.
+//    towers.  The batch encoder runs it, and MergedNtt64 is differentially
+//    tested against it.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +35,8 @@
 
 namespace cofhee::poly {
 
-/// Chip-faithful cyclic NTT over the n-th root of unity omega = psi^2.
+/// Cyclic NTT over the n-th root of unity omega = psi^2, with explicit psi
+/// scaling for negacyclic products (paper Algorithm 2).
 template <class Red, class T>
 class CyclicNtt {
  public:

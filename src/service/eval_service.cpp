@@ -16,6 +16,16 @@ namespace cofhee::service {
 
 namespace {
 
+/// Deterministic host cost model: coefficient operations per second the
+/// virtual host resource processes (base extension, digit decompose, t/q
+/// rounding).  Feeds the sim_host_* / *_span_seconds stats; never affects
+/// results or wall-clock behavior.
+constexpr double kHostCoeffOpsPerSec = 250e6;
+
+/// Smoothing factor of the measured per-chip unit-cost EWMA that feeds
+/// placement: cost := (1-a)*cost + a*sample.
+constexpr double kCostEwmaAlpha = 0.3;
+
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
@@ -92,9 +102,7 @@ EvalService::EvalService(const bfv::Bfv& scheme, ChipFarm& farm, ServiceOptions 
   if (opts_.max_batch == 0) opts_.max_batch = 1;
   if (opts_.pipeline_depth == 0) opts_.pipeline_depth = 1;
   if (opts_.max_tracked_tenants == 0) opts_.max_tracked_tenants = 1;
-  if (opts_.host_coeff_ops_per_sec <= 0) opts_.host_coeff_ops_per_sec = 250e6;
   if (opts_.probe_interval_rounds == 0) opts_.probe_interval_rounds = 1;
-  opts_.cost_ewma_alpha = std::clamp(opts_.cost_ewma_alpha, 0.0, 1.0);
   health_.resize(farm_.size());
   tenancy_enabled_ = opts_.tenancy.enabled();
   stats_.per_chip.resize(farm_.size());
@@ -320,7 +328,7 @@ ServiceStats EvalService::stats() const {
 }
 
 double EvalService::host_seconds(double ops) const noexcept {
-  return ops / opts_.host_coeff_ops_per_sec;
+  return ops / kHostCoeffOpsPerSec;
 }
 
 void EvalService::note_rejected_locked(std::uint64_t tenant, std::uint64_t n,
@@ -963,9 +971,9 @@ void EvalService::note_chip_fault_locked(std::size_t chip) {
 
 void EvalService::note_chip_ok_locked(std::size_t chip, double unit_cost_sample) {
   health_[chip].consecutive_faults = 0;
-  const double a = opts_.cost_ewma_alpha;
-  if (a > 0 && unit_cost_sample > 0)
-    chip_unit_cost_[chip] = (1.0 - a) * chip_unit_cost_[chip] + a * unit_cost_sample;
+  if (unit_cost_sample > 0)
+    chip_unit_cost_[chip] = (1.0 - kCostEwmaAlpha) * chip_unit_cost_[chip] +
+                            kCostEwmaAlpha * unit_cost_sample;
 }
 
 void EvalService::probe_quarantined(bool force) {

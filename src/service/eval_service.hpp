@@ -126,11 +126,6 @@ struct ServiceOptions {
   /// empty and QueueFullError when admission would exceed the bound right
   /// now (both ServiceErrors; the latter is retryable back-pressure).
   std::size_t max_queue = 0;
-  /// Deterministic host cost model: coefficient operations per second the
-  /// virtual host resource processes (base extension, digit decompose, t/q
-  /// rounding).  Feeds the sim_host_* / *_span_seconds stats; never affects
-  /// results or wall-clock behavior.
-  double host_coeff_ops_per_sec = 250e6;
   /// Queue ordering: priority classes + per-tenant weighted deficit
   /// round-robin (the default), or strict arrival order (the v1 reference
   /// path the scheduler tests differentiate against).
@@ -178,10 +173,6 @@ struct ServiceOptions {
   /// in ServiceStats::stage_timeouts) and its items retried elsewhere.
   /// 0 disables the check.  Seconds (simulated).
   double stage_timeout_seconds = 0;
-  /// Smoothing factor for the measured per-chip unit-cost EWMA that feeds
-  /// placement (cost := (1-a)*cost + a*sample).  0 freezes costs at the
-  /// modeled seed (the v2 reference behavior); clamped to [0, 1].
-  double cost_ewma_alpha = 0.3;
   /// Optional trace recorder (obs/trace.hpp, caller-owned, must outlive the
   /// service): the service then emits hierarchical spans -- async "request"
   /// spans from submit to settle, wall spans for every round phase and

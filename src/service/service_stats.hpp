@@ -4,7 +4,7 @@
 //
 //  * *simulated* seconds come from the chip model's cycle counter, the
 //    serial links' byte accounting, and the service's deterministic host
-//    cost model (see ServiceOptions::host_coeff_ops_per_sec).  They are
+//    cost model (kHostCoeffOpsPerSec in eval_service.cpp).  They are
 //    machine-independent -- the numbers bench_service_throughput
 //    regression-tracks.
 //  * *wall* seconds are host wall-clock (how long the scheduler actually

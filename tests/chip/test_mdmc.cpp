@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "nt/primes.hpp"
 #include "poly/merged_ntt.hpp"
 #include "poly/sampler.hpp"
@@ -57,18 +59,61 @@ TEST(Mdmc, InttInvertsNtt) {
 TEST(Mdmc, NttHadamardInttIsNegacyclicProduct) {
   // The full Algorithm 2 flow on chip equals the schoolbook negacyclic
   // product -- the end-to-end functional contract of the co-processor.
-  ChipFixture f(128);
-  const auto a = f.random_poly(3);
-  const auto b = f.random_poly(4);
-  f.chip.load_coeffs(Bank::kDp0, 0, a);
-  f.chip.direct_execute({Opcode::kNtt, {Bank::kDp0, 0}, {}, {Bank::kDp1, 0}, 0, 0});
-  f.chip.load_coeffs(Bank::kDp0, 0, b);
-  f.chip.direct_execute({Opcode::kNtt, {Bank::kDp0, 0}, {}, {Bank::kDp2, 0}, 0, 0});
-  f.chip.direct_execute({Opcode::kPModMul, {Bank::kDp1, 0}, {Bank::kDp2, 0},
-                         {Bank::kDp0, 0}, static_cast<std::uint32_t>(f.n), 0});
-  f.chip.direct_execute({Opcode::kIntt, {Bank::kDp0, 0}, {}, {Bank::kDp1, 0}, 0, 0});
-  EXPECT_EQ(f.chip.read_coeffs(Bank::kDp1, 0, f.n),
-            poly::schoolbook_negacyclic_mul(f.ring, a, b));
+  // A 109-bit ring runs the 128-bit datapath, a 55-bit one the 64-bit one.
+  for (const unsigned bits : {109u, 55u}) {
+    SCOPED_TRACE(bits);
+    ChipFixture f(128, bits);
+    const auto a = f.random_poly(3);
+    const auto b = f.random_poly(4);
+    f.chip.load_coeffs(Bank::kDp0, 0, a);
+    f.chip.direct_execute({Opcode::kNtt, {Bank::kDp0, 0}, {}, {Bank::kDp1, 0}, 0, 0});
+    f.chip.load_coeffs(Bank::kDp0, 0, b);
+    f.chip.direct_execute({Opcode::kNtt, {Bank::kDp0, 0}, {}, {Bank::kDp2, 0}, 0, 0});
+    f.chip.direct_execute({Opcode::kPModMul, {Bank::kDp1, 0}, {Bank::kDp2, 0},
+                           {Bank::kDp0, 0}, static_cast<std::uint32_t>(f.n), 0});
+    f.chip.direct_execute({Opcode::kIntt, {Bank::kDp0, 0}, {}, {Bank::kDp1, 0}, 0, 0});
+    EXPECT_EQ(f.chip.read_coeffs(Bank::kDp1, 0, f.n),
+              poly::schoolbook_negacyclic_mul(f.ring, a, b));
+  }
+}
+
+TEST(Mdmc, DegreeOneNttCopiesAndInttScales) {
+  // FHECTL1 = 0 programs N = 1: NTT is a copy, iNTT a CMODMUL by
+  // INV_POLYDEG, on both datapaths.
+  for (const unsigned bits : {109u, 55u}) {
+    SCOPED_TRACE(bits);
+    ChipFixture f(64, bits);
+    f.chip.gpcfg().set_n(1);
+    f.chip.gpcfg().set_inv_polydeg(7);
+    const u128 x = f.q - 2;
+    f.chip.load_coeffs(Bank::kDp0, 0, std::vector<u128>{x});
+    f.chip.direct_execute({Opcode::kNtt, {Bank::kDp0, 0}, {}, {Bank::kDp1, 0}, 0, 0});
+    EXPECT_TRUE(f.chip.read_coeffs(Bank::kDp1, 0, 1)[0] == x);
+    f.chip.direct_execute({Opcode::kIntt, {Bank::kDp1, 0}, {}, {Bank::kDp2, 0}, 0, 0});
+    EXPECT_TRUE(f.chip.read_coeffs(Bank::kDp2, 0, 1)[0] == f.ring.mul(x, 7));
+  }
+}
+
+TEST(Mdmc, NttRunningOffABankThrowsBeforeAnyWrite) {
+  // Operand or destination past the bank's end: std::out_of_range, and no
+  // bank word or access count changes.
+  ChipFixture f(64);
+  Sram& dp0 = f.chip.mem().bank(Bank::kDp0);
+  Sram& dp1 = f.chip.mem().bank(Bank::kDp1);
+  const std::uint32_t last = static_cast<std::uint32_t>(dp1.words() - f.n / 2);
+  dp1.poke(dp1.words() - 1, 5);
+  const auto counts = [&] {
+    return std::array{dp0.reads(), dp0.writes(), dp1.reads(), dp1.writes()};
+  };
+  const auto before = counts();
+  EXPECT_THROW(f.chip.direct_execute(
+                   {Opcode::kNtt, {Bank::kDp0, 0}, {}, {Bank::kDp1, last}, 0, 0}),
+               std::out_of_range);
+  EXPECT_THROW(f.chip.direct_execute(
+                   {Opcode::kIntt, {Bank::kDp1, last}, {}, {Bank::kDp0, 0}, 0, 0}),
+               std::out_of_range);
+  EXPECT_EQ(counts(), before);
+  EXPECT_TRUE(dp1.peek(dp1.words() - 1) == 5);
 }
 
 TEST(Mdmc, PointwiseOps) {

@@ -247,36 +247,49 @@ INSTANTIATE_TEST_SUITE_P(Modes, WordDatapath,
 TEST(WordTwiddles, BankRewriteUnderSameQIsSeen) {
   // Rewrite only the TW bank (Q untouched) between transforms, over the
   // link and through the backdoor; every NTT must use the ROM it sees.
-  const std::size_t n = kN;
-  const u128 q = test_rings()[0];
-  const Barrett128 ring(q);
-  const u128 psi1 = nt::primitive_2nth_root(q, n);
-  const u128 psi3 = ring.pow(psi1, 3);  // another primitive 2n-th root
-  const MergedNtt128 eng1(ring, n, psi1), eng3(ring, n, psi3);
-  CofheeChip soc;
-  HostDriver drv(soc);
-  drv.configure_ring(q, n, psi1, /*timed=*/true);
-  const std::uint64_t q_version = soc.gpcfg().q_version();
-  poly::Rng rng(11);
-  const auto a = poly::sample_uniform128(rng, n, q);
-  drv.load_polynomial(Bank::kSp0, 0, a);
+  // Then rewrite only INV_POLYDEG: the next iNTT must scale by it.  Both
+  // datapaths cache their engines, so every ring runs.
+  for (const u128 q : test_rings()) {
+    SCOPED_TRACE(static_cast<double>(q));
+    const std::size_t n = kN;
+    const Barrett128 ring(q);
+    const u128 psi1 = nt::primitive_2nth_root(q, n);
+    const u128 psi3 = ring.pow(psi1, 3);  // another primitive 2n-th root
+    const MergedNtt128 eng1(ring, n, psi1), eng3(ring, n, psi3);
+    CofheeChip soc;
+    HostDriver drv(soc);
+    drv.configure_ring(q, n, psi1, /*timed=*/true);
+    const std::uint64_t q_version = soc.gpcfg().q_version();
+    poly::Rng rng(11);
+    const auto a = poly::sample_uniform128(rng, n, q);
+    drv.load_polynomial(Bank::kSp0, 0, a);
 
-  const auto ntt_with = [&](const MergedNtt128& eng, Bank dst) {
-    drv.ntt({Bank::kSp0, 0}, {dst, 0});
-    poly::Coeffs<u128> x(a);
-    eng.forward(x);
-    EXPECT_EQ(soc.read_coeffs(dst, 0, n), x);
-  };
-  ntt_with(eng1, Bank::kDp0);
-  drv.load_polynomial(Bank::kTw, 0, eng3.twiddle_rom());
-  ntt_with(eng3, Bank::kDp1);
-  soc.load_coeffs(Bank::kTw, 0, eng1.twiddle_rom());
-  ntt_with(eng1, Bank::kDp2);
-  // The inverse reads the same ROM through the mirror pass.
-  soc.load_coeffs(Bank::kTw, 0, eng3.twiddle_rom());
-  drv.intt({Bank::kDp1, 0}, {Bank::kSp1, 0});
-  EXPECT_EQ(soc.read_coeffs(Bank::kSp1, 0, n), a);
-  EXPECT_EQ(soc.gpcfg().q_version(), q_version);
+    const auto ntt_with = [&](const MergedNtt128& eng, Bank dst) {
+      drv.ntt({Bank::kSp0, 0}, {dst, 0});
+      poly::Coeffs<u128> x(a);
+      eng.forward(x);
+      EXPECT_EQ(soc.read_coeffs(dst, 0, n), x);
+    };
+    ntt_with(eng1, Bank::kDp0);
+    drv.load_polynomial(Bank::kTw, 0, eng3.twiddle_rom());
+    ntt_with(eng3, Bank::kDp1);
+    soc.load_coeffs(Bank::kTw, 0, eng1.twiddle_rom());
+    ntt_with(eng1, Bank::kDp2);
+    // The inverse reads the same ROM through the mirror pass.
+    soc.load_coeffs(Bank::kTw, 0, eng3.twiddle_rom());
+    drv.intt({Bank::kDp1, 0}, {Bank::kSp1, 0});
+    EXPECT_EQ(soc.read_coeffs(Bank::kSp1, 0, n), a);
+
+    // Same q, same ROM, new INV_POLYDEG c: the iNTT now yields a * c * n.
+    const u128 c = poly::sample_uniform128(rng, 1, q)[0];
+    soc.gpcfg().set_inv_polydeg(c);
+    drv.intt({Bank::kDp1, 0}, {Bank::kSp2, 0});
+    const u128 scale = ring.mul(c, u128{n});
+    std::vector<u128> want(n);
+    for (std::size_t i = 0; i < n; ++i) want[i] = ring.mul(a[i], scale);
+    EXPECT_EQ(soc.read_coeffs(Bank::kSp2, 0, n), want);
+    EXPECT_EQ(soc.gpcfg().q_version(), q_version);
+  }
 }
 
 // --- bulk bus bursts ------------------------------------------------------

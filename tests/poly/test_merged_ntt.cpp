@@ -81,17 +81,75 @@ TEST(MergedNtt, TwiddleRomIsBitReversedPsiPowers) {
 
 TEST(MergedNtt, InverseTwiddlesDerivableFromRomByMirror) {
   // The property the chip's DMA-assisted mirror pass relies on:
-  // psi^-e = -psi^(n-e), so the iNTT needs no second table.
+  // psi^-e = -psi^(n-e), so the iNTT needs no second table.  Both the
+  // mirror read of the ROM and the engine's table must equal psi^-rev(i)
+  // computed from psi^-1 directly.
   const u64 q = nt::find_ntt_prime_u64(40, 64);
   Fix<nt::Barrett64, u64> f(64, q);
   const auto& rom = f.eng.twiddle_rom();
   const auto& inv = f.eng.inv_twiddles();
+  const u64 psi_inv = f.ring.inv(f.psi);
   for (std::size_t i = 1; i < 64; ++i) {
     const std::size_t e = nt::bit_reverse(i, 6);
-    const u64 from_rom = f.ring.neg(rom[nt::bit_reverse(64 - e, 6)]);
-    EXPECT_EQ(inv[i], from_rom) << i;
+    const u64 direct = f.ring.pow(psi_inv, e);
+    EXPECT_EQ(f.ring.neg(rom[nt::bit_reverse(64 - e, 6)]), direct) << i;
+    EXPECT_EQ(inv[i], direct) << i;
   }
   EXPECT_EQ(inv[0], 1u);
+}
+
+template <class Eng, class T>
+void expect_same_transforms(const Eng& from_psi, const Eng& from_rom,
+                            const Coeffs<T>& x) {
+  auto a = x, b = x;
+  from_psi.forward(a);
+  from_rom.forward(b);
+  EXPECT_EQ(a, b);
+  from_psi.inverse(a);
+  from_rom.inverse(b);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(b, x);
+}
+
+TEST(MergedNtt, RomConstructorMatchesPsiConstructor) {
+  // The chip builds its engines from the TW bank's ROM words and
+  // INV_POLYDEG; the host builds them from psi.  Same tables, same outputs.
+  const std::size_t n = 64;
+  {
+    const u64 q = nt::find_ntt_prime_u64(50, n);
+    Fix<nt::Barrett64, u64> f(n, q);
+    const MergedNtt<nt::Barrett64, u64> rom(f.ring, twiddle_rom(f.ring, n, f.psi),
+                                            f.ring.inv(u64{n}));
+    EXPECT_EQ(rom.twiddle_rom(), f.eng.twiddle_rom());
+    EXPECT_EQ(rom.inv_twiddles(), f.eng.inv_twiddles());
+    EXPECT_EQ(rom.n_inv(), f.eng.n_inv());
+    Rng rng(21);
+    expect_same_transforms(f.eng, rom, sample_uniform(rng, n, q));
+  }
+  {
+    const u128 q = nt::find_ntt_prime_u128(109, n);
+    Fix<nt::Barrett128, u128> f(n, q);
+    const MergedNtt128 rom(f.ring, f.eng.twiddle_rom(), f.ring.inv(u128{n}));
+    EXPECT_EQ(rom.twiddle_rom(), f.eng.twiddle_rom());
+    EXPECT_EQ(rom.inv_twiddles(), f.eng.inv_twiddles());
+    EXPECT_EQ(rom.n_inv(), f.eng.n_inv());
+    Rng rng(22);
+    expect_same_transforms(f.eng, rom, sample_uniform128(rng, n, q));
+  }
+  {
+    // MergedNtt64 from a ROM narrowed out of the 128-bit engine's words, as
+    // the chip model narrows its TW bank.
+    const u64 q = nt::find_ntt_prime_u64(55, n);
+    const nt::Barrett64 ring(q);
+    const u64 psi = nt::primitive_2nth_root(q, n);
+    const MergedNtt128 wide(nt::Barrett128(q), n, u128{psi});
+    std::vector<u64> words(wide.twiddle_rom().begin(), wide.twiddle_rom().end());
+    const MergedNtt64 from_psi(ring, n, psi);
+    const MergedNtt64 rom(ring, words, static_cast<u64>(wide.n_inv()));
+    EXPECT_EQ(rom.twiddle_rom(), from_psi.twiddle_rom());
+    Rng rng(23);
+    expect_same_transforms(from_psi, rom, sample_uniform(rng, n, q));
+  }
 }
 
 TEST(MergedNtt, NegacyclicWrapProperty) {
@@ -111,6 +169,9 @@ TEST(MergedNtt, RejectsBadConstruction) {
   nt::Barrett64 ring(q);
   EXPECT_THROW((MergedNtt<nt::Barrett64, u64>(ring, 63, 2)), std::invalid_argument);
   EXPECT_THROW((MergedNtt<nt::Barrett64, u64>(ring, 64, 1)), std::invalid_argument);
+  EXPECT_THROW((MergedNtt<nt::Barrett64, u64>(ring, std::vector<u64>(6, 1), 1)),
+               std::invalid_argument);
+  EXPECT_THROW(MergedNtt64(ring, std::vector<u64>{}, 1), std::invalid_argument);
 }
 
 class MergedDegreeSweep : public ::testing::TestWithParam<std::size_t> {};
