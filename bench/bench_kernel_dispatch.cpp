@@ -20,8 +20,10 @@
 // per-coefficient pass counts (the model of *why* the fused path wins) are
 // what bench_diff.py tracks.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -81,16 +83,23 @@ void tensor_unfused(const poly::NegacyclicNtt64& ntt, const Operands& op,
   ntt.inverse(y2);
 }
 
-template <class F>
-double best_of_ms(int reps, F&& body) {
-  body();  // warm-up
-  double best = 1e30;
+/// Best-of-`reps` wall ms of each body, after one warm-up call each.  The
+/// repetitions interleave (body 0, body 1, ..., body 0, ...) so a load
+/// spike from other processes hits every path alike instead of whichever
+/// path happened to be timing when it struck.
+template <std::size_t N>
+std::array<double, N> best_of_ms(int reps, const std::array<std::function<void()>, N>& bodies) {
+  for (const auto& body : bodies) body();  // warm-up
+  std::array<double, N> best;
+  best.fill(1e30);
   for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    body();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best,
-                    std::chrono::duration<double, std::milli>(t1 - t0).count());
+    for (std::size_t i = 0; i < N; ++i) {
+      const auto t0 = std::chrono::steady_clock::now();
+      bodies[i]();
+      const auto t1 = std::chrono::steady_clock::now();
+      best[i] = std::min(best[i],
+                         std::chrono::duration<double, std::milli>(t1 - t0).count());
+    }
   }
   return best;
 }
@@ -116,19 +125,19 @@ int main(int argc, char** argv) {
     const poly::MergedNtt64 fused_ntt(red, n, psi);
     const Operands op = make_operands(n, q);
 
-    Coeffs<u64> y0, y1, y2;
-    const double scalar_ms = best_of_ms(
-        sc.reps, [&] { tensor_unfused(scalar_ntt, op, y0, y1, y2); });
-
     if (!nt::simd::force_isa(nt::simd::Isa::kScalar))
       std::fprintf(stderr, "cannot pin scalar lane?\n");
-    Coeffs<u64> f0, f1, f2;
-    const double fused_ms = best_of_ms(
-        sc.reps, [&] { fused_ntt.tensor(op.a0, op.a1, op.b0, op.b1, f0, f1, f2); });
     nt::simd::clear_forced_isa();
-    Coeffs<u64> s0, s1, s2;
-    const double simd_ms = best_of_ms(
-        sc.reps, [&] { fused_ntt.tensor(op.a0, op.a1, op.b0, op.b1, s0, s1, s2); });
+    Coeffs<u64> y0, y1, y2, f0, f1, f2, s0, s1, s2;
+    const auto [scalar_ms, fused_ms, simd_ms] = best_of_ms<3>(
+        sc.reps,
+        {[&] { tensor_unfused(scalar_ntt, op, y0, y1, y2); },
+         [&] {
+           (void)nt::simd::force_isa(nt::simd::Isa::kScalar);
+           fused_ntt.tensor(op.a0, op.a1, op.b0, op.b1, f0, f1, f2);
+           nt::simd::clear_forced_isa();
+         },
+         [&] { fused_ntt.tensor(op.a0, op.a1, op.b0, op.b1, s0, s1, s2); }});
 
     // The three paths must agree bit-for-bit (the test battery holds this
     // contract too; the bench re-checks on its own operands for free).

@@ -8,15 +8,10 @@ namespace cofhee::chip {
 
 void Dma::move(const MemRef& src, const MemRef& dst, std::size_t len,
                bool bit_reverse) {
-  Sram& s = mem_.bank(src.bank);
-  Sram& d = mem_.bank(dst.bank);
   if (bit_reverse && !nt::is_power_of_two(len))
     throw std::invalid_argument("Dma: bit-reverse transfer needs power-of-two length");
-  const unsigned logl = bit_reverse ? nt::log2_exact(len) : 0;
-  for (std::size_t i = 0; i < len; ++i) {
-    const std::size_t di = bit_reverse ? nt::bit_reverse(i, logl) : i;
-    d.write(dst.offset + di, s.read(src.offset + i));
-  }
+  copy_words(mem_.bank(src.bank), src.offset, mem_.bank(dst.bank), dst.offset, len,
+             bit_reverse);
   ++stats_.transfers;
   stats_.words_moved += len;
 }

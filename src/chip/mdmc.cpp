@@ -318,13 +318,8 @@ std::uint64_t Mdmc::exec_memcpy(const Instr& in, bool bit_reverse) {
   const std::size_t len = vec_len(in);
   if (!nt::is_power_of_two(len) && bit_reverse)
     throw std::invalid_argument("Mdmc: MEMCPYR length must be a power of 2");
-  Sram& src = mem_.bank(in.x.bank);
-  Sram& dst = mem_.bank(in.dst.bank);
-  const unsigned logl = bit_reverse ? nt::log2_exact(len) : 0;
-  for (std::size_t i = 0; i < len; ++i) {
-    const std::size_t di = bit_reverse ? nt::bit_reverse(i, logl) : i;
-    dst.write(in.dst.offset + di, src.read(in.x.offset + i));
-  }
+  copy_words(mem_.bank(in.x.bank), in.x.offset, mem_.bank(in.dst.bank), in.dst.offset,
+             len, bit_reverse);
   PowerSegment seg;
   seg.cycles = len + cfg_.pointwise_fill;
   seg.sram_reads = len;

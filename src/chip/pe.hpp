@@ -6,9 +6,10 @@
 // has a 5-cycle latency with II = 1; add/sub are single-cycle.  The PE is
 // purely functional here -- cycle accounting lives in the MDMC, which knows
 // the memory schedule -- but it owns the Barrett reducer programmed from
-// the Q/BARRETTCTL registers.  Its modular ops are the MDMC's generic
-// 128-bit pointwise path; NTT/iNTT run poly::MergedNtt128 over ring() (or
-// poly::MergedNtt64 for word-sized rings, chip/mdmc.hpp).
+// the Q/BARRETTCTL registers (nt::Barrett128, two-limb native arithmetic
+// for every modulus up to 128 bits).  Its modular ops are the MDMC's
+// generic 128-bit pointwise path; NTT/iNTT run poly::MergedNtt128 over
+// ring() (or poly::MergedNtt64 for word-sized rings, chip/mdmc.hpp).
 #pragma once
 
 #include "nt/barrett.hpp"

@@ -1,7 +1,10 @@
 #include "chip/sram.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+
+#include "nt/primes.hpp"
 
 namespace cofhee::chip {
 
@@ -55,6 +58,25 @@ std::size_t MemorySystem::total_bytes() const {
   std::size_t bytes = 0;
   for (const auto& b : banks_) bytes += b.words() * 16;  // 128-bit words
   return bytes;
+}
+
+void copy_words(Sram& src, std::size_t src_off, Sram& dst, std::size_t dst_off,
+                std::size_t len, bool bit_reverse) {
+  if (len == 0) return;
+  const unsigned logl = bit_reverse ? nt::log2_exact(len) : 0;
+  const auto at = [&](std::size_t i) { return bit_reverse ? nt::bit_reverse(i, logl) : i; };
+  if (&src == &dst && src_off < dst_off + len && dst_off < src_off + len) {
+    for (std::size_t i = 0; i < len; ++i) dst.write(dst_off + at(i), src.read(src_off + i));
+    return;
+  }
+  (void)dst.peek_block(dst_off, len);  // bounds only
+  const std::span<const u128> in = src.read_block(src_off, len);
+  const std::span<u128> out = dst.write_block(dst_off, len);
+  if (!bit_reverse) {
+    std::copy(in.begin(), in.end(), out.begin());
+    return;
+  }
+  for (std::size_t i = 0; i < len; ++i) out[at(i)] = in[i];
 }
 
 }  // namespace cofhee::chip

@@ -121,6 +121,15 @@ class Sram {
   std::uint64_t generation_ = 0;
 };
 
+/// Move `len` words from `src` at `src_off` to `dst` at `dst_off`: source
+/// word i lands at dst_off + i, or at dst_off + rev(i) when `bit_reverse`
+/// (len must then be a power of two).  Contents and access counts equal one
+/// read()+write() pair per word in increasing i -- also when both ranges
+/// overlap inside one bank, where a later read sees an earlier write.
+/// Disjoint ranges move as one block, bounds-checked before any access.
+void copy_words(Sram& src, std::size_t src_off, Sram& dst, std::size_t dst_off,
+                std::size_t len, bool bit_reverse);
+
 /// The full data-memory complement of the chip.
 class MemorySystem {
  public:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <system_error>
 #include <utility>
 
 #include "service/errors.hpp"
@@ -113,6 +114,7 @@ void EvalServer::accept_loop() {
       ::close(fd);
       break;
     }
+    reap_sessions();
     if (active_.load() >= opts_.max_connections) {
       // Polite backpressure: a typed reject, not a silent hangup.
       busy_rejected_.fetch_add(1);
@@ -122,10 +124,43 @@ void EvalServer::accept_loop() {
       continue;
     }
     active_.fetch_add(1);
-    std::lock_guard<std::mutex> lk(sessions_mu_);
-    session_fds_.push_back(fd);
-    session_threads_.emplace_back([this, fd] { session(fd); });
+    bool started = true;
+    {
+      std::lock_guard<std::mutex> lk(sessions_mu_);
+      session_fds_.push_back(fd);
+      try {
+        session_threads_.emplace_back([this, fd] { session(fd); });
+      } catch (const std::system_error&) {
+        session_fds_.pop_back();
+        started = false;
+      }
+    }
+    if (!started) {
+      // No thread to serve it (thread or mapping limit): shed the
+      // connection like one past max_connections instead of terminating.
+      active_.fetch_sub(1);
+      busy_rejected_.fetch_add(1);
+      send_reject(fd, RejectCode::kServerBusy, 0,
+                  "server cannot start a session; retry later");
+      ::close(fd);
+    }
   }
+}
+
+void EvalServer::reap_sessions() {
+  std::vector<std::thread> done;
+  {
+    std::lock_guard<std::mutex> lk(sessions_mu_);
+    for (const std::thread::id id : finished_sessions_) {
+      const auto it = std::find_if(session_threads_.begin(), session_threads_.end(),
+                                   [id](const std::thread& t) { return t.get_id() == id; });
+      done.push_back(std::move(*it));
+      *it = std::move(session_threads_.back());
+      session_threads_.pop_back();
+    }
+    finished_sessions_.clear();
+  }
+  for (auto& t : done) t.join();
 }
 
 void EvalServer::session(int fd) {
@@ -181,6 +216,7 @@ void EvalServer::session(int fd) {
     std::lock_guard<std::mutex> lk(sessions_mu_);
     const auto it = std::find(session_fds_.begin(), session_fds_.end(), fd);
     if (it != session_fds_.end()) session_fds_.erase(it);
+    finished_sessions_.push_back(std::this_thread::get_id());
   }
   active_.fetch_sub(1);
 }

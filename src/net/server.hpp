@@ -101,6 +101,8 @@ class EvalServer {
 
  private:
   void accept_loop();
+  /// Join the session threads that have recorded themselves finished.
+  void reap_sessions();
   void session(int fd);
   /// Dispatch one decoded frame; returns false when the session must end
   /// (kBye, or a reply could not be sent).
@@ -130,8 +132,9 @@ class EvalServer {
   std::atomic<std::uint64_t> http_requests_{0};
   std::atomic<std::uint64_t> bad_frames_{0};
 
-  std::mutex sessions_mu_;                // guards session_threads_ + session_fds_
+  std::mutex sessions_mu_;  // guards the three session lists below
   std::vector<std::thread> session_threads_;
+  std::vector<std::thread::id> finished_sessions_;  // to join (accept_loop)
   std::vector<int> session_fds_;          // live session sockets (for stop())
   std::mutex metrics_mu_;                 // serializes scrapes over registry_
   obs::MetricsRegistry registry_;

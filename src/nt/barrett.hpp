@@ -5,7 +5,9 @@
 // constant mu = floor(2^k_b / q) in the 160-bit BARRETTCTL2 register and the
 // shift amount in BARRETTCTL1 (Table II).  Barrett64 is the software
 // baseline's workhorse (64-bit towers with __int128 intermediates);
-// Barrett128 mirrors the chip datapath (128-bit operands, 256-bit products).
+// Barrett128 mirrors the chip datapath (128-bit operands, 256-bit products)
+// on two-limb unsigned __int128 arithmetic: four 64x64 products per 256-bit
+// product, no multi-limb loops.
 #pragma once
 
 #include <cstdint>
@@ -107,9 +109,24 @@ class ShoupMul {
   u64 w_ = 0, q_ = 0, wshoup_ = 0;
 };
 
+/// Full 256-bit product a * b of two 128-bit words: four 64x64 products.
+inline void mul_wide(u128 a, u128 b, u128& hi, u128& lo) noexcept {
+  const u64 a0 = static_cast<u64>(a), a1 = static_cast<u64>(a >> 64);
+  const u64 b0 = static_cast<u64>(b), b1 = static_cast<u64>(b >> 64);
+  const u128 p00 = static_cast<u128>(a0) * b0, p01 = static_cast<u128>(a0) * b1;
+  const u128 p10 = static_cast<u128>(a1) * b0, p11 = static_cast<u128>(a1) * b1;
+  const u128 mid = (p00 >> 64) + static_cast<u64>(p01) + static_cast<u64>(p10);
+  lo = (mid << 64) | static_cast<u64>(p00);
+  hi = p11 + (p01 >> 64) + (p10 >> 64) + (mid >> 64);
+}
+
 /// Barrett reducer for moduli up to 128 bits -- the chip datapath width.
-/// mu = floor(2^(2k) / q) has at most k+1 <= 129 bits and is held in a
-/// 192-bit register (the silicon stores 160 bits; Table II).
+/// mu = floor(2^(2k) / q) has at most k+1 bits, k+2 when q = 2^(k-1), and
+/// is held in a 192-bit register (the silicon stores 160 bits; Table II).
+/// reduce() runs on two-limb native arithmetic: the quotient estimate
+/// multiplies by the low 128 bits of mu, and the at most two bits that
+/// q1 = x >> (k-1), mu and r = x - q3*q carry past 2^128 (only when
+/// k >= 127) are folded in as explicit carries.
 class Barrett128 {
  public:
   Barrett128() = default;
@@ -120,35 +137,60 @@ class Barrett128 {
     WideInt<8> two_2k;
     two_2k.set_bit(2 * k_);
     mu_ = (two_2k / WideInt<2>(q)).resize_trunc<3>();
+    mu_lo_ = mu_.to_u128();
+    mu_hi_ = mu_.limb[2];
   }
 
   [[nodiscard]] u128 modulus() const noexcept { return q_; }
   [[nodiscard]] unsigned k() const noexcept { return k_; }
   [[nodiscard]] const U192& mu() const noexcept { return mu_; }
 
-  /// x mod q for x < 2^(2k) (any product of two residues).
-  [[nodiscard]] u128 reduce(const U256& x) const noexcept {
-    // q1 = floor(x / 2^(k-1)) < 2^(k+1)
-    const U192 q1 = (x >> (k_ - 1)).resize_trunc<3>();
-    // q3 = floor(q1 * mu / 2^(k+1)) <= floor(x/q), off by at most 2.
-    const auto q2 = q1.mul_full(mu_);  // 6 limbs
-    const U256 q3 = (q2 >> (k_ + 1)).template resize_trunc<4>();
-    const U256 qq = q3.mul_full(WideInt<2>(q_)).resize_trunc<4>();
-    U256 r = x - qq;  // r < 3q < 2^130
-    const u128 q = q_;
-    u128 rv = r.to_u128();
-    // r may exceed 128 bits only transiently when q is full-width; handle
-    // via one wide subtract first.
-    if (r.limb[2] != 0 || r.limb[3] != 0) {
-      r -= WideInt<4>(q);
-      rv = r.to_u128();
+  /// x mod q for x = hi * 2^128 + lo < 2^(2k) (any product of two residues).
+  [[nodiscard]] u128 reduce(u128 hi, u128 lo) const noexcept {
+    // q1 = floor(x / 2^(k-1)) mod 2^128 (q1 < 2^(k+1): bit 128 is c1 below).
+    const unsigned s = k_ - 1;  // 1 <= s <= 127
+    const u128 q1 = (hi << (128 - s)) | (lo >> s);
+    // q1 * mu_lo = tl * 2^128 + pl.
+    u128 tl, pl;
+    mul_wide(q1, mu_lo_, tl, pl);
+    // q3 = floor(q1 * mu / 2^(k+1)) <= floor(x / q) < 2^k, off by at most 2,
+    // and r = x - q3 * q < 3q.
+    if (k_ < 127) {  // q1, mu and r all fit in 128 bits
+      const u128 q3 = (tl << (127 - k_)) | (pl >> (k_ + 1));
+      u128 r = lo - q3 * q_;
+      for (int i = 0; i < 2 && r >= q_; ++i) r -= q_;
+      return r;
     }
-    while (rv >= q) rv -= q;
-    return rv;
+    // k >= 127: q1 has bit 128 c1 (k = 128), mu = mu_hi * 2^128 + mu_lo with
+    // mu_hi <= 2, and r can pass 2^128.  Fold them into the high words
+    // (th:tl) of q1 * mu, then q3 = (th:tl) >> (k - 127) fits in 128 bits.
+    const u128 c1 = hi >> s;
+    u64 th = 0;
+    if (c1 != 0) {
+      tl += mu_lo_;
+      th += tl < mu_lo_;
+      th += mu_hi_;
+    }
+    for (u64 i = 0; i < mu_hi_; ++i) {
+      tl += q1;
+      th += tl < q1;
+    }
+    const u128 q3 = (tl >> (k_ - 127)) | (static_cast<u128>(th) << 127);
+    u128 ph, plo;
+    mul_wide(q3, q_, ph, plo);
+    u128 r = lo - plo;
+    u128 rh = hi - ph - (lo < plo);  // r < 3q < 2^130: rh <= 2
+    for (int i = 0; i < 2 && (rh != 0 || r >= q_); ++i) {
+      rh -= r < q_;
+      r -= q_;
+    }
+    return r;
   }
 
   [[nodiscard]] u128 mul(u128 a, u128 b) const noexcept {
-    return reduce(WideInt<2>(a).mul_full(WideInt<2>(b)));
+    u128 hi, lo;
+    mul_wide(a, b, hi, lo);
+    return reduce(hi, lo);
   }
 
   [[nodiscard]] u128 add(u128 a, u128 b) const noexcept {
@@ -184,6 +226,8 @@ class Barrett128 {
  private:
   u128 q_ = 0;
   U192 mu_{};
+  u128 mu_lo_ = 0;  // mu mod 2^128
+  u64 mu_hi_ = 0;   // floor(mu / 2^128) <= 2, nonzero only for k >= 127
   unsigned k_ = 0;
 };
 

@@ -39,23 +39,8 @@ bool miller_rabin_u64(u64 n, u64 a) {
   return false;
 }
 
-u128 mulmod_u128(u128 a, u128 b, u128 m) {
-  const auto p = WideInt<2>(a).mul_full(WideInt<2>(b));
-  return (p % WideInt<2>(m)).to_u128();
-}
-
-u128 powmod_u128(u128 base, u128 exp, u128 m) {
-  u128 r = 1;
-  base %= m;
-  while (exp != 0) {
-    if (exp & 1) r = mulmod_u128(r, base, m);
-    base = mulmod_u128(base, base, m);
-    exp >>= 1;
-  }
-  return r;
-}
-
-bool miller_rabin_u128(u128 n, u128 a) {
+bool miller_rabin_u128(const Barrett128& ring, u128 a) {
+  const u128 n = ring.modulus();
   if (a % n == 0) return true;
   u128 d = n - 1;
   unsigned s = 0;
@@ -63,10 +48,10 @@ bool miller_rabin_u128(u128 n, u128 a) {
     d >>= 1;
     ++s;
   }
-  u128 x = powmod_u128(a, d, n);
+  u128 x = ring.pow(a, d);
   if (x == 1 || x == n - 1) return true;
   for (unsigned i = 1; i < s; ++i) {
-    x = mulmod_u128(x, x, n);
+    x = ring.mul(x, x);
     if (x == n - 1) return true;
   }
   return false;
@@ -105,10 +90,11 @@ bool is_prime(u128 n) {
                 31ull, 37ull, 41ull, 43ull, 47ull}) {
     if (n % p == 0) return false;
   }
+  const Barrett128 ring(n);
   XorShift64 rng{0x9E3779B97F4A7C15ull ^ static_cast<u64>(n)};
   for (int i = 0; i < 24; ++i) {
     const u128 a = 2 + (static_cast<u128>(rng.next()) % (n - 3));
-    if (!miller_rabin_u128(n, a)) return false;
+    if (!miller_rabin_u128(ring, a)) return false;
   }
   return true;
 }
@@ -189,9 +175,10 @@ u128 primitive_2nth_root(u128 q, std::size_t n) {
   if ((q - 1) % (2 * static_cast<u128>(n)) != 0)
     throw std::invalid_argument("primitive_2nth_root: q != 1 mod 2n");
   const u128 exp = (q - 1) / (2 * static_cast<u128>(n));
+  const Barrett128 ring(q);
   for (u128 g = 2; g < 1000; ++g) {
-    const u128 psi = powmod_u128(g, exp, q);
-    if (powmod_u128(psi, static_cast<u128>(n), q) == q - 1) return psi;
+    const u128 psi = ring.pow(g, exp);
+    if (ring.pow(psi, static_cast<u128>(n)) == q - 1) return psi;
   }
   throw std::runtime_error("primitive_2nth_root: none found (q not prime?)");
 }

@@ -161,6 +161,70 @@ TEST(Mdmc, MemCpyAndBitReverse) {
   EXPECT_EQ(f.chip.read_coeffs(Bank::kSp2, 0, f.n), expect);
 }
 
+/// The per-word bank move MEMCPY and the DMA made before disjoint ranges
+/// moved as one block: word i read, then written, in increasing i.
+void per_word_copy(Sram& src, std::size_t src_off, Sram& dst, std::size_t dst_off,
+                   std::size_t len, bool bit_reverse) {
+  const unsigned logl = bit_reverse ? nt::log2_exact(len) : 0;
+  for (std::size_t i = 0; i < len; ++i) {
+    const std::size_t di = bit_reverse ? nt::bit_reverse(i, logl) : i;
+    dst.write(dst_off + di, src.read(src_off + i));
+  }
+}
+
+TEST(Mdmc, MemCpyAndDmaMatchPerWordCopy) {
+  struct Move {
+    Bank src;
+    std::uint32_t src_off;
+    Bank dst;
+    std::uint32_t dst_off;
+    std::uint32_t len;
+    bool bit_reverse;
+  };
+  const Move moves[] = {
+      {Bank::kSp0, 5, Bank::kSp1, 9, 40, false},   // disjoint banks
+      {Bank::kSp0, 0, Bank::kSp0, 64, 64, false},  // one bank, disjoint
+      {Bank::kSp0, 3, Bank::kSp0, 10, 50, false},  // overlap, dst above src
+      {Bank::kSp0, 20, Bank::kSp0, 4, 50, false},  // overlap, dst below src
+      {Bank::kSp0, 7, Bank::kSp0, 7, 32, false},   // same range
+      {Bank::kDp0, 1, Bank::kDp1, 0, 64, true},    // bit-reversed, disjoint
+      {Bank::kDp0, 8, Bank::kDp0, 0, 32, true},    // bit-reversed, overlap
+      {Bank::kDp0, 0, Bank::kDp0, 40, 32, true},   // bit-reversed, one bank
+  };
+  poly::Rng rng(8);
+  for (const Move& m : moves) {
+    for (const bool dma : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (dma ? "Dma " : "MEMCPY ") << static_cast<int>(m.src) << "+"
+                   << m.src_off << " -> " << static_cast<int>(m.dst) << "+" << m.dst_off
+                   << " len " << m.len << (m.bit_reverse ? " bit-reversed" : ""));
+      CofheeChip chip;
+      chip.gpcfg().set_q(97);  // any ring: the moves never reduce
+      MemorySystem ref(ChipConfig{});
+      for (const Bank b : {m.src, m.dst}) {
+        const auto words = poly::sample_uniform128(rng, 256, ~u128{0});
+        chip.load_coeffs(b, 0, words);
+        for (std::size_t i = 0; i < words.size(); ++i) ref.bank(b).poke(i, words[i]);
+        chip.mem().bank(b).reset_counters();
+      }
+      per_word_copy(ref.bank(m.src), m.src_off, ref.bank(m.dst), m.dst_off, m.len,
+                    m.bit_reverse);
+      if (dma) {
+        chip.dma().transfer({m.src, m.src_off}, {m.dst, m.dst_off}, m.len, m.bit_reverse);
+      } else {
+        chip.direct_execute({m.bit_reverse ? Opcode::kMemCpyR : Opcode::kMemCpy,
+                             {m.src, m.src_off}, {}, {m.dst, m.dst_off}, m.len, 0});
+      }
+      for (const Bank b : {m.src, m.dst}) {
+        const auto want = ref.bank(b).peek_block(0, 256);
+        EXPECT_EQ(chip.read_coeffs(b, 0, 256), std::vector<u128>(want.begin(), want.end()));
+        EXPECT_EQ(chip.mem().bank(b).reads(), ref.bank(b).reads());
+        EXPECT_EQ(chip.mem().bank(b).writes(), ref.bank(b).writes());
+      }
+    }
+  }
+}
+
 // ---- Table V cycle calibration: these are the silicon measurements. ----
 
 struct CyclesCase {

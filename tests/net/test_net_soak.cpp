@@ -8,6 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <iterator>
+#include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -121,6 +125,40 @@ TEST(NetSoak, ConcurrentMixedTenantsSettleEveryRequest) {
   EXPECT_EQ(ns.connections_accepted, static_cast<std::uint64_t>(kClients));
   EXPECT_EQ(ns.rejects_sent, rate_rejections.load());
   EXPECT_EQ(ns.connections_active, 0u);
+}
+
+std::ptrdiff_t task_count() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                       std::filesystem::directory_iterator{});
+}
+
+double vmsize_mb() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);)
+    if (line.rfind("VmSize:", 0) == 0) return std::stod(line.substr(7)) / 1024.0;
+  return 0.0;
+}
+
+// Every connection gets a session thread; the accept loop joins finished
+// ones before it serves the next connection.  Unjoined, each exited thread
+// kept its stack mapped (8 MB of VmSize apiece) until stop().
+TEST(NetSoak, SequentialScrapesReapTheirSessionThreads) {
+  bfv::Bfv scheme{bfv::BfvParams::test_tiny(64), /*seed=*/72};
+  service::ChipFarm farm(1);
+  service::EvalService svc(scheme, farm, {});
+  EvalServer server(svc);
+  ASSERT_FALSE(http_get_metrics("127.0.0.1", server.port()).empty());  // warm-up
+  const std::ptrdiff_t tasks0 = task_count();
+  const double vm0 = vmsize_mb();
+
+  constexpr int kScrapes = 300;
+  for (int i = 0; i < kScrapes; ++i)
+    ASSERT_FALSE(http_get_metrics("127.0.0.1", server.port()).empty()) << i;
+
+  // The last session (and one still closing) may not be joined yet.
+  EXPECT_LE(task_count(), tasks0 + 2);
+  EXPECT_LT(vmsize_mb() - vm0, 64.0);
+  EXPECT_EQ(server.stats().http_requests, std::uint64_t{kScrapes + 1});
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <vector>
 
 namespace cofhee::nt {
 namespace {
@@ -114,6 +115,86 @@ TEST(Barrett128, BarrettConstantMatchesPaperRegisterWidth) {
   Barrett128 br(q);
   EXPECT_LE(br.mu().bit_len(), 160u);
   EXPECT_GE(br.mu().bit_len(), br.k());
+}
+
+u128 naive_powmod128(u128 base, u128 exp, u128 q) {
+  u128 r = 1 % q, b = base % q;
+  for (; exp != 0; exp >>= 1) {
+    if (exp & 1) r = naive_mulmod128(r, b, q);
+    b = naive_mulmod128(b, b, q);
+  }
+  return r;
+}
+
+/// Miller-Rabin on naive_mulmod128 (bases 2..37: exact below 2^81, and no
+/// known strong pseudoprime to all of them above), so that picking the
+/// sweep's primes does not depend on the Barrett128 under test.
+bool naive_is_prime(u128 n) {
+  if (n < 2) return false;
+  const u64 bases[] = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37};
+  for (const u64 p : bases)
+    if (n % p == 0) return n == p;
+  u128 d = n - 1;
+  unsigned s = 0;
+  for (; (d & 1) == 0; d >>= 1) ++s;
+  for (const u64 a : bases) {
+    u128 x = naive_powmod128(a, d, n);
+    if (x == 1 || x == n - 1) continue;
+    bool witness = true;
+    for (unsigned i = 1; i < s && witness; ++i) {
+      x = naive_mulmod128(x, x, n);
+      witness = x != n - 1;
+    }
+    if (witness) return false;
+  }
+  return true;
+}
+
+u128 random_u128(std::mt19937_64& rng) {
+  return (static_cast<u128>(rng()) << 64) | rng();
+}
+
+// Differential sweep over every modulus width the class accepts, including
+// the corners where q1, mu or r carry past 2^128 (k >= 127) and the powers
+// of two whose mu = 2^(k+1) is one bit wider than for any other k-bit q.
+TEST(Barrett128, EveryBitSizeMatchesNaiveModulo) {
+  std::mt19937_64 rng(18);
+  std::vector<u128> moduli = {(u128{1} << 127) + 1, ~u128{0}};
+  for (unsigned k = 2; k <= 128; ++k) {
+    const u128 top = u128{1} << (k - 1);  // 2^(k-1), so 2^126 and 2^127 too
+    const u128 span = top - 1;
+    moduli.push_back(top);
+    moduli.push_back(top + (random_u128(rng) % span | 1));  // odd, k bits
+    u128 prime = top + span;  // largest prime below 2^k
+    while (!naive_is_prime(prime)) prime -= 2;
+    moduli.push_back(prime);
+  }
+  for (const u128 q : moduli) {
+    const Barrett128 br(q);
+    const bool prime = naive_is_prime(q);
+    std::vector<u128> ops = {0, 1, q - 1, q - 2};
+    for (int i = 0; i < 6; ++i) {
+      ops.push_back(random_u128(rng) % q);
+      // Near q - 1 the quotient estimate is most often two short.
+      ops.push_back(q - 1 - (random_u128(rng) >> (rng() % 128)) % q);
+    }
+    for (const u128 a : ops) {
+      for (const u128 b : ops) {
+        ASSERT_EQ(br.mul(a, b), naive_mulmod128(a, b, q))
+            << "k=" << br.k() << " q=" << WideInt<2>(q).to_string();
+      }
+      const u128 e = random_u128(rng) >> (rng() % 128);
+      ASSERT_EQ(br.pow(a, e), naive_powmod128(a, e, q))
+          << "k=" << br.k() << " q=" << WideInt<2>(q).to_string();
+      if (a % q == 0) continue;
+      const u128 ai = br.inv(a);
+      ASSERT_EQ(ai, naive_powmod128(a, q - 2, q))
+          << "k=" << br.k() << " q=" << WideInt<2>(q).to_string();
+      if (prime) {
+        ASSERT_EQ(naive_mulmod128(a, ai, q), u128{1});
+      }
+    }
+  }
 }
 
 TEST(Montgomery64, MatchesBarrett) {

@@ -36,12 +36,15 @@ TEST(MergedNtt, RoundTrip64) {
 }
 
 TEST(MergedNtt, MulMatchesSchoolbook128) {
-  const u128 q = nt::find_ntt_prime_u128(109, 128);
-  Fix<nt::Barrett128, u128> f(128, q);
-  Rng rng(2);
-  const auto a = sample_uniform128(rng, 128, q);
-  const auto b = sample_uniform128(rng, 128, q);
-  EXPECT_EQ(f.eng.negacyclic_mul(a, b), schoolbook_negacyclic_mul(f.ring, a, b));
+  // At 127 bits 3q > 2^128: the Barrett128 remainder carries past the low limb.
+  for (const unsigned bits : {109u, 127u}) {
+    const u128 q = nt::find_ntt_prime_u128(bits, 128);
+    Fix<nt::Barrett128, u128> f(128, q);
+    Rng rng(2);
+    const auto a = sample_uniform128(rng, 128, q);
+    const auto b = sample_uniform128(rng, 128, q);
+    EXPECT_EQ(f.eng.negacyclic_mul(a, b), schoolbook_negacyclic_mul(f.ring, a, b)) << bits;
+  }
 }
 
 TEST(MergedNtt, AgreesWithShoupEngine) {
