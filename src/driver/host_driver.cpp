@@ -56,9 +56,21 @@ double HostDriver::configure_ring(u128 q, std::size_t n, u128 psi, bool timed) {
     return 0.0;
   }
 
-  const nt::Barrett128 ring(q);
-  const auto rom = poly::twiddle_rom(ring, n, psi);  // psi^rev(i), one word per coeff
-  const u128 n_inv = ring.inv(static_cast<u128>(n));
+  // psi^rev(i), one word per coeff, and n^-1.  A u64 ring computes them over
+  // Barrett64 and widens the words: the same residues, without the 128-bit
+  // reduction.
+  std::vector<u128> rom;
+  u128 n_inv = 0;
+  if (q < (u128{1} << 62) && psi < q) {
+    const nt::Barrett64 ring(static_cast<nt::u64>(q));
+    const auto narrow = poly::twiddle_rom(ring, n, static_cast<nt::u64>(psi));
+    rom.assign(narrow.begin(), narrow.end());
+    n_inv = ring.inv(static_cast<nt::u64>(n));
+  } else {
+    const nt::Barrett128 ring(q);
+    rom = poly::twiddle_rom(ring, n, psi);
+    n_inv = ring.inv(static_cast<u128>(n));
+  }
   if (!timed) {
     auto& gp = chip_.gpcfg();
     gp.set_q(q);

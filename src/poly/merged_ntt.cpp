@@ -26,39 +26,15 @@ MergedNtt64::MergedNtt64(const nt::Barrett64& red, std::size_t n, u64 psi)
 
 void MergedNtt64::forward(Coeffs<u64>& x) const {
   check(x);
-  const auto& K = nt::simd::kernels();
-  const u64 q = red_.modulus();
-  u64* d = x.data();
-  std::size_t t = n_;
-  for (std::size_t m = 1; m < n_; m <<= 1) {
-    t >>= 1;
-    for (std::size_t i = 0; i < m; ++i) {
-      const std::size_t j1 = 2 * i * t;
-      K.ct_butterfly(d + j1, d + j1 + t, t, tw_[m + i], tw_shoup_[m + i], q);
-    }
-  }
-  K.canonicalize(d, n_, q);
+  nt::simd::kernels().ntt_forward(x.data(), n_, tw_.data(), tw_shoup_.data(),
+                                  red_.modulus());
 }
 
 void MergedNtt64::inverse(Coeffs<u64>& x) const {
   check(x);
-  const auto& K = nt::simd::kernels();
-  const u64 q = red_.modulus();
-  u64* d = x.data();
-  std::size_t t = 1;
-  for (std::size_t m = n_; m > 1; m >>= 1) {
-    const std::size_t h = m >> 1;
-    std::size_t j1 = 0;
-    for (std::size_t i = 0; i < h; ++i) {
-      K.gs_butterfly(d + j1, d + j1 + t, t, tw_inv_[h + i], tw_inv_shoup_[h + i],
-                     q);
-      j1 += 2 * t;
-    }
-    t <<= 1;
-  }
-  // Shoup scalar multiply accepts the lazy [0, 2q) stage output directly and
-  // emits canonical residues: n^-1 scaling and canonicalization in one pass.
-  K.scalar_mul_shoup(d, n_, n_inv_, n_inv_shoup_, q);
+  nt::simd::kernels().ntt_inverse(x.data(), n_, tw_inv_.data(),
+                                  tw_inv_shoup_.data(), n_inv_, n_inv_shoup_,
+                                  red_.modulus());
 }
 
 Coeffs<u64> MergedNtt64::negacyclic_mul(const Coeffs<u64>& a,

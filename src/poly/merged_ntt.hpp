@@ -156,13 +156,13 @@ class MergedNtt {
 using MergedNtt128 = MergedNtt<nt::Barrett128, u128>;
 
 /// The default host-side u64 tower engine: the merged transform above,
-/// specialized for the 64-bit RNS towers with Shoup-precomputed twiddles,
-/// Harvey lazy reduction through the butterfly stages (values ride in
-/// [0, 4q) forward / [0, 2q) inverse; one canonicalization pass per
-/// transform) and SIMD butterfly/pointwise kernels dispatched through
-/// nt::simd.  The inverse transform's n^-1 scaling is fused into its
-/// canonicalization pass, so each transform is exactly log2(n) butterfly
-/// passes plus one reduction pass over the coefficients.
+/// specialized for the 64-bit RNS towers with Shoup-precomputed twiddles.
+/// forward() and inverse() are one nt::simd whole-transform call each: the
+/// active ISA lane runs every stage with Harvey lazy reduction (values ride
+/// in [0, 4q) forward / [0, 2q) inverse), canonicalizes once per forward
+/// transform and fuses the inverse's n^-1 scaling into its
+/// canonicalization pass.  The chip model's u64 datapath (chip::Mdmc) runs
+/// this engine too.
 ///
 /// tensor() is the fused NTT -> pointwise -> INTT tower kernel behind
 /// Bfv::multiply and CpuTensorKernel: one call transforms all four operand
@@ -188,7 +188,7 @@ class MergedNtt64 {
   /// Canonical residues in, canonical residues out.
   void forward(Coeffs<u64>& x) const;
   /// Inverse negacyclic NTT (GS/DIF, bit-reversed in, natural out) with the
-  /// n^-1 scaling fused into the final canonicalization pass.
+  /// n^-1 scaling fused into the canonicalization pass.
   void inverse(Coeffs<u64>& x) const;
 
   /// Fused negacyclic product of two towers.

@@ -194,7 +194,7 @@ struct ServiceOptions {
   /// pending quotas over queued + in-flight requests (TenantQuotaError).
   /// Enforcement keys on the real tenant id even past max_tracked_tenants.
   /// The default enforces nothing and costs nothing at admission.
-  TenancyOptions tenancy;
+  TenancyOptions tenancy{};
 };
 
 /// Async multi-chip evaluation front end over a ChipFarm.

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "bfv/params.hpp"
 #include "nt/primes.hpp"
+#include "poly/merged_ntt.hpp"
 #include "poly/sampler.hpp"
 
 namespace cofhee::driver {
@@ -167,6 +169,30 @@ TEST(HostDriver, ConfigureBeforeUseEnforced) {
   chip::CofheeChip c;
   HostDriver d(c, ExecMode::kFifo);
   EXPECT_THROW((void)d.poly_mul(), std::logic_error);
+}
+
+TEST(HostDriver, U64RingRomAndInvPolyDegMatchTheBarrett128Build) {
+  // configure_ring builds a u64 tower's ROM over Barrett64: the TW bank and
+  // INV_POLYDEG must hold the words the Barrett128 build gives, on both the
+  // backdoor and the timed link path, for every tower of every preset.
+  for (const auto& params : {bfv::BfvParams::test_tiny(64), bfv::BfvParams::paper_small(),
+                             bfv::BfvParams::paper_large()}) {
+    std::vector<nt::u64> towers = params.q_moduli;
+    towers.insert(towers.end(), params.aux_moduli.begin(), params.aux_moduli.end());
+    for (const nt::u64 q : towers) {
+      const Barrett128 wide(q);
+      const u128 psi = nt::primitive_2nth_root(q, params.n);
+      const auto rom = poly::twiddle_rom(wide, params.n, psi);
+      const u128 n_inv = wide.inv(static_cast<u128>(params.n));
+      for (const bool timed : {false, true}) {
+        chip::CofheeChip c;
+        HostDriver d(c, ExecMode::kFifo);
+        d.configure_ring(q, params.n, psi, timed);
+        EXPECT_EQ(c.read_coeffs(Bank::kTw, 0, params.n), rom) << q << " timed=" << timed;
+        EXPECT_EQ(c.gpcfg().inv_polydeg(), n_inv) << q << " timed=" << timed;
+      }
+    }
+  }
 }
 
 }  // namespace

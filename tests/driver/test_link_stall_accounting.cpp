@@ -106,8 +106,9 @@ TEST(LinkStallAccounting, SeedFramesReconcileAndTraceAgrees) {
 
   // The trace's "link" spans are built from the same stats deltas: the
   // simulated link time in the trace equals the link clock exactly.
-  if (obs::TraceRecorder::enabled())
+  if (obs::TraceRecorder::enabled()) {
     EXPECT_NEAR(rec.sim_category_seconds("link"), st.seconds, 1e-12);
+  }
 }
 
 TEST(LinkStallAccounting, TimedOutStallChargesNothing) {

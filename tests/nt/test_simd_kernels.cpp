@@ -1,22 +1,30 @@
 // Differential battery for the SIMD kernel dispatch layer (src/nt/simd.hpp).
 //
-// Contract under test: every vector lane (AVX2, NEON) is bit-exact against
-// the scalar reference lane on every kernel -- including the *lazy*
-// (redundant-range) outputs of the butterfly kernels, not just canonical
-// residues -- over seeded random inputs, boundary values (0, 1, q-1, q,
-// 2q-1, 4q-1), vector-width tails (odd lengths), and several moduli up to
-// the 62-bit Barrett64 ceiling.  Also pins the runtime dispatch rules:
-// force_isa() on an unavailable lane is a no-op returning false, and the
-// active table always matches the active lane.
+// Contract under test: every vector lane (AVX2, AVX-512, NEON) is bit-exact
+// against the scalar reference lane on every kernel, over seeded random
+// inputs, boundary values (0, 1, q-1, q, 2q-1, 4q-1), vector-width tails
+// (odd lengths), and several moduli up to the 62-bit Barrett64 ceiling.
+// The whole-transform entries run per lane over n = 1 ... 2^14, including
+// the top of their lazy input ranges.  Also pins the runtime dispatch
+// rules: force_isa() on an unavailable lane is a no-op returning false, and
+// the active table always matches the active lane.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "nt/barrett.hpp"
 #include "nt/montgomery.hpp"
+#include "nt/primes.hpp"
 #include "nt/simd.hpp"
+#include "poly/merged_ntt.hpp"
+
+namespace cofhee::nt::simd {
+// Lane parameters print by name in test listings.
+inline void PrintTo(Isa isa, std::ostream* os) { *os << isa_name(isa); }
+}  // namespace cofhee::nt::simd
 
 namespace {
 
@@ -30,7 +38,7 @@ using simd::Isa;
 // loops then vacuously pass and the dispatch tests still run.
 std::vector<Isa> vector_lanes() {
   std::vector<Isa> lanes;
-  for (Isa isa : {Isa::kAvx2, Isa::kNeon})
+  for (Isa isa : {Isa::kAvx2, Isa::kAvx512, Isa::kNeon})
     if (simd::available(isa)) lanes.push_back(isa);
   return lanes;
 }
@@ -84,6 +92,7 @@ TEST(SimdDispatch, ScalarAlwaysAvailable) {
   EXPECT_STREQ(simd::isa_name(Isa::kScalar), "scalar");
   EXPECT_STREQ(simd::isa_name(Isa::kAvx2), "avx2");
   EXPECT_STREQ(simd::isa_name(Isa::kNeon), "neon");
+  EXPECT_STREQ(simd::isa_name(Isa::kAvx512), "avx512");
 }
 
 TEST(SimdDispatch, ForceAndClear) {
@@ -114,69 +123,11 @@ TEST(SimdDispatch, ActiveIsBestAvailable) {
   const Isa active = simd::active_isa();
   EXPECT_TRUE(simd::available(active));
   // When a vector lane is available, automatic detection must pick it.
-  if (!vector_lanes().empty()) EXPECT_NE(active, Isa::kScalar);
-}
-
-TEST(SimdKernels, CtButterflyBitExact) {
-  const auto& ref = simd::kernels_for(Isa::kScalar);
-  for (Isa isa : vector_lanes()) {
-    const auto& lane = simd::kernels_for(isa);
-    for (u64 q : kModuli) {
-      std::mt19937_64 rng(0xC0F4EE01 ^ q);
-      for (std::size_t len : kLens) {
-        auto x0 = seeded(rng, len, q, 4 * static_cast<u128>(q));
-        auto y0 = seeded(rng, len, q, 4 * static_cast<u128>(q));
-        const u64 w = static_cast<u64>(rng() % q);
-        const u64 ws = shoup_of(w, q);
-        auto x1 = x0, y1 = y0;
-        ref.ct_butterfly(x0.data(), y0.data(), len, w, ws, q);
-        lane.ct_butterfly(x1.data(), y1.data(), len, w, ws, q);
-        ASSERT_EQ(x0, x1) << simd::isa_name(isa) << " q=" << q << " len=" << len;
-        ASSERT_EQ(y0, y1) << simd::isa_name(isa) << " q=" << q << " len=" << len;
-      }
-    }
+  if (!vector_lanes().empty()) {
+    EXPECT_NE(active, Isa::kScalar);
   }
-}
-
-TEST(SimdKernels, GsButterflyBitExact) {
-  const auto& ref = simd::kernels_for(Isa::kScalar);
-  for (Isa isa : vector_lanes()) {
-    const auto& lane = simd::kernels_for(isa);
-    for (u64 q : kModuli) {
-      std::mt19937_64 rng(0xC0F4EE02 ^ q);
-      for (std::size_t len : kLens) {
-        auto x0 = seeded(rng, len, q, 2 * static_cast<u128>(q));
-        auto y0 = seeded(rng, len, q, 2 * static_cast<u128>(q));
-        const u64 w = static_cast<u64>(rng() % q);
-        const u64 ws = shoup_of(w, q);
-        auto x1 = x0, y1 = y0;
-        ref.gs_butterfly(x0.data(), y0.data(), len, w, ws, q);
-        lane.gs_butterfly(x1.data(), y1.data(), len, w, ws, q);
-        ASSERT_EQ(x0, x1) << simd::isa_name(isa) << " q=" << q << " len=" << len;
-        ASSERT_EQ(y0, y1) << simd::isa_name(isa) << " q=" << q << " len=" << len;
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, CanonicalizeBitExactAndCanonical) {
-  const auto& ref = simd::kernels_for(Isa::kScalar);
-  for (u64 q : kModuli) {
-    std::mt19937_64 rng(0xC0F4EE03 ^ q);
-    for (std::size_t len : kLens) {
-      const auto input = seeded(rng, len, q, 4 * static_cast<u128>(q));
-      auto x0 = input;
-      ref.canonicalize(x0.data(), len, q);
-      for (std::size_t i = 0; i < len; ++i) {
-        ASSERT_LT(x0[i], q);  // scalar lane maps [0, 4q) into [0, q)
-        ASSERT_EQ(x0[i], input[i] % q);
-      }
-      for (Isa isa : vector_lanes()) {
-        auto x1 = input;
-        simd::kernels_for(isa).canonicalize(x1.data(), len, q);
-        ASSERT_EQ(x0, x1) << simd::isa_name(isa) << " q=" << q << " len=" << len;
-      }
-    }
+  if (simd::available(Isa::kAvx512)) {
+    EXPECT_EQ(active, Isa::kAvx512);
   }
 }
 
@@ -293,3 +244,113 @@ TEST(SimdKernels, DispatchFallbackMatchesVector) {
   simd::clear_forced_isa();
   EXPECT_EQ(fast, slow);
 }
+
+// ---------------------------------------------------------------------------
+// Whole-transform entries, one test instance per lane.  A lane this binary
+// or CPU lacks skips its own instances only.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// The tables MergedNtt64 hands the kernels for one (q, n).
+struct NttTables {
+  u64 q, n_inv, n_inv_shoup;
+  std::vector<u64> w, ws, wi, wis;
+
+  NttTables(u64 q_, std::size_t n) : q(q_) {
+    const cofhee::nt::Barrett64 red(q);
+    w = n == 1 ? std::vector<u64>{1}
+               : cofhee::poly::twiddle_rom(red, n,
+                                           cofhee::nt::primitive_2nth_root(q, n));
+    wi = cofhee::poly::detail::mirror_twiddles(red, w);
+    for (u64 v : w) ws.push_back(shoup_of(v, q));
+    for (u64 v : wi) wis.push_back(shoup_of(v, q));
+    n_inv = red.inv(static_cast<u64>(n));
+    n_inv_shoup = shoup_of(n_inv, q);
+  }
+  void forward(const simd::KernelTable& k, std::vector<u64>& x) const {
+    k.ntt_forward(x.data(), x.size(), w.data(), ws.data(), q);
+  }
+  void inverse(const simd::KernelTable& k, std::vector<u64>& x) const {
+    k.ntt_inverse(x.data(), x.size(), wi.data(), wis.data(), n_inv, n_inv_shoup, q);
+  }
+};
+
+// Random, all-0, all-(q-1) and alternating 0/(q-1) canonical inputs.
+std::vector<std::vector<u64>> ntt_inputs(std::size_t n, u64 q) {
+  std::mt19937_64 rng(0xC0F4EE10 ^ q ^ n);
+  std::vector<std::vector<u64>> in(4, std::vector<u64>(n, 0));
+  for (std::size_t i = 0; i < n; ++i) {
+    in[0][i] = rng() % q;
+    in[2][i] = q - 1;
+    in[3][i] = i % 2 ? q - 1 : 0;
+  }
+  return in;
+}
+
+class SimdNtt : public ::testing::TestWithParam<Isa> {
+ protected:
+  void SetUp() override {
+    if (!simd::available(GetParam()))
+      GTEST_SKIP() << simd::isa_name(GetParam()) << " lane unavailable";
+  }
+};
+
+// n = 1, 2, 4, ..., 2^14 over a small NTT prime (65537 = 1 + 2^16) and
+// the largest NTT prime below 2^62 for that n, where 4q - 1 brushes 2^64.
+template <class Body>
+void for_each_ring(Body&& body) {
+  for (std::size_t n = 1; n <= (std::size_t{1} << 14); n <<= 1)
+    for (u64 q : {u64{65537}, cofhee::nt::find_ntt_prime_u64(62, n)})
+      body(n, NttTables(q, n));
+}
+
+}  // namespace
+
+TEST_P(SimdNtt, ForwardMatchesScalarLaneAndInverseRoundTrips) {
+  const auto& ref = simd::kernels_for(Isa::kScalar);
+  const auto& lane = simd::kernels_for(GetParam());
+  for_each_ring([&](std::size_t n, const NttTables& t) {
+    for (const auto& input : ntt_inputs(n, t.q)) {
+      auto want = input, got = input;
+      t.forward(ref, want);
+      t.forward(lane, got);
+      ASSERT_EQ(got, want) << "n=" << n << " q=" << t.q;
+      for (u64 v : got) ASSERT_LT(v, t.q) << "n=" << n << " q=" << t.q;
+      t.inverse(lane, got);
+      ASSERT_EQ(got, input) << "n=" << n << " q=" << t.q;
+    }
+  });
+}
+
+TEST_P(SimdNtt, AcceptTheTopOfTheirLazyInputRanges) {
+  // The forward transform accepts [0, 4q) and the inverse [0, 2q): seeded
+  // words with the range edges planted (and every word at the top of the
+  // range) give the transform of their residues.
+  const auto& lane = simd::kernels_for(GetParam());
+  for_each_ring([&](std::size_t n, const NttTables& t) {
+    std::mt19937_64 rng(0xC0F4EE11 ^ t.q ^ n);
+    for (const u128 top : {4 * static_cast<u128>(t.q), 2 * static_cast<u128>(t.q)}) {
+      for (auto lazy : {seeded(rng, n, t.q, top), std::vector<u64>(n, static_cast<u64>(top - 1))}) {
+        std::vector<u64> residue(lazy);
+        for (u64& v : residue) v %= t.q;
+        const bool fwd = top == 4 * static_cast<u128>(t.q);
+        if (fwd) {
+          t.forward(lane, lazy);
+          t.forward(lane, residue);
+        } else {
+          t.inverse(lane, lazy);
+          t.inverse(lane, residue);
+        }
+        ASSERT_EQ(lazy, residue) << "n=" << n << " q=" << t.q << (fwd ? " forward" : " inverse");
+      }
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Lanes, SimdNtt,
+                         ::testing::Values(Isa::kScalar, Isa::kAvx2, Isa::kAvx512,
+                                           Isa::kNeon),
+                         [](const ::testing::TestParamInfo<Isa>& info) {
+                           return std::string(simd::isa_name(info.param));
+                         });

@@ -7,8 +7,14 @@
 
 #include "bfv/bfv.hpp"
 #include "nt/primes.hpp"
+#include "nt/simd.hpp"
 #include "poly/ntt.hpp"
 #include "poly/sampler.hpp"
+
+namespace cofhee::nt::simd {
+// Lane parameters print by name in test listings.
+inline void PrintTo(Isa isa, std::ostream* os) { *os << isa_name(isa); }
+}  // namespace cofhee::nt::simd
 
 namespace cofhee::poly {
 namespace {
@@ -299,6 +305,66 @@ TEST(MergedNtt64, TensorMatchesUnfusedReference) {
   EXPECT_EQ(y1, r1);
   EXPECT_EQ(y2, r2);
 }
+
+// ---------------------------------------------------------------------------
+// MergedNtt64 on every ISA lane, pinned with force_isa: n = 1 ... 2^14 over
+// a small NTT prime and the largest NTT prime below 2^62 for that n.  A lane
+// this binary or CPU lacks skips its own instances only.
+// ---------------------------------------------------------------------------
+
+class MergedNtt64Lane : public ::testing::TestWithParam<nt::simd::Isa> {
+ protected:
+  void SetUp() override {
+    if (!nt::simd::available(GetParam()))
+      GTEST_SKIP() << nt::simd::isa_name(GetParam()) << " lane unavailable";
+  }
+  void TearDown() override { nt::simd::clear_forced_isa(); }
+};
+
+// n = 1 has no psi (twiddle_rom needs n >= 2): its ROM is the single word 1.
+MergedNtt64 engine_for(u64 q, std::size_t n) {
+  const nt::Barrett64 ring(q);
+  if (n == 1) return MergedNtt64(ring, std::vector<u64>{1}, 1);
+  return MergedNtt64(ring, n, nt::primitive_2nth_root(q, n));
+}
+
+TEST_P(MergedNtt64Lane, MatchesScalarLaneRoundTripsAndMultiplies) {
+  for (std::size_t n = 1; n <= (std::size_t{1} << 14); n <<= 1) {
+    for (const u64 q : {u64{65537}, nt::find_ntt_prime_u64(62, n)}) {
+      const MergedNtt64 eng = engine_for(q, n);
+      Rng rng(q ^ n);
+      // Random, all-0, all-(q-1) and alternating 0/(q-1) inputs.
+      std::vector<Coeffs<u64>> inputs{sample_uniform(rng, n, q), Coeffs<u64>(n, 0),
+                                      Coeffs<u64>(n, q - 1), Coeffs<u64>(n, 0)};
+      for (std::size_t i = 1; i < n; i += 2) inputs[3][i] = q - 1;
+      for (const auto& x : inputs) {
+        ASSERT_TRUE(nt::simd::force_isa(nt::simd::Isa::kScalar));
+        auto want = x;
+        eng.forward(want);
+        ASSERT_TRUE(nt::simd::force_isa(GetParam()));
+        auto got = x;
+        eng.forward(got);
+        ASSERT_EQ(got, want) << "n=" << n << " q=" << q;
+        eng.inverse(got);
+        ASSERT_EQ(got, x) << "n=" << n << " q=" << q;
+      }
+      if (n > 1024) continue;  // the schoolbook product is O(n^2)
+      for (std::size_t i = 0; i < inputs.size(); ++i) {
+        const auto& a = inputs[i];
+        const auto& b = inputs[(i + 1) % inputs.size()];
+        ASSERT_EQ(eng.negacyclic_mul(a, b), schoolbook_negacyclic_mul(eng.ring(), a, b))
+            << "n=" << n << " q=" << q << " pattern=" << i;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Lanes, MergedNtt64Lane,
+                         ::testing::Values(nt::simd::Isa::kScalar, nt::simd::Isa::kAvx2,
+                                           nt::simd::Isa::kAvx512, nt::simd::Isa::kNeon),
+                         [](const ::testing::TestParamInfo<nt::simd::Isa>& info) {
+                           return std::string(nt::simd::isa_name(info.param));
+                         });
 
 class MergedChainSweep : public ::testing::TestWithParam<int> {};
 
