@@ -1,25 +1,26 @@
-// Host kernel dispatch: scalar unfused vs fused-scalar vs fused+SIMD, per
-// ring size, on the BFV tensor workload of one 64-bit RNS tower (4 forward
-// NTT + 4 pointwise + 3 inverse NTT -- the hot loop behind Bfv::multiply).
+// Host kernel dispatch: the fused tensor on the scalar lane vs each vector
+// lane, per ring size, on the BFV tensor workload of one 64-bit RNS tower
+// (4 forward NTT + 4 pointwise + 3 inverse NTT -- the hot loop behind
+// Bfv::multiply).
 //
-//  * scalar      -- NegacyclicNtt64, the unfused Shoup-multiplication
-//                   reference path (one transform / pointwise pass at a
-//                   time, canonical residues between every stage).
 //  * fused       -- MergedNtt64::tensor pinned to the scalar ISA lane:
 //                   lazy-reduction butterflies + the single-pass tensor
-//                   structure, no vector instructions.
+//                   structure, no vector instructions.  This is the
+//                   reference: the code a CPU without vector lanes, or a
+//                   COFHEE_SIMD=OFF build, runs.
 //  * fused+simd  -- the same tensor pinned to each vector lane this CPU
 //                   has (AVX2, AVX-512, NEON), one row per lane; none in a
 //                   COFHEE_SIMD=OFF build.
 //
-// The bench asserts in-binary that every vector lane is at least as fast
-// as the scalar reference on every scenario (with a small tolerance for
-// timer noise), so a lane that is not the one active_isa() picks is still
-// held to the floor -- a regression here fails `ctest -L bench` even
-// before the JSON diff runs.  Wall-clock milliseconds are machine-dependent and stay out of
-// the regression JSON; the deterministic modular-multiplication counts and
-// per-coefficient pass counts (the model of *why* the fused path wins) are
-// what bench_diff.py tracks.
+// The bench asserts in-binary that every vector lane is bit-identical to
+// and at least as fast as the scalar reference on every scenario (with a
+// small tolerance for timer noise), so a lane that is not the one
+// active_isa() picks is still held to the floor -- a regression here fails
+// `ctest -L bench` even before the JSON diff runs.  Wall-clock milliseconds
+// are machine-dependent and stay out of the regression JSON; the
+// deterministic modular-multiplication counts and per-coefficient pass
+// counts (the model of *why* the fused path wins) are what bench_diff.py
+// tracks.
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -33,7 +34,6 @@
 #include "nt/primes.hpp"
 #include "nt/simd.hpp"
 #include "poly/merged_ntt.hpp"
-#include "poly/ntt.hpp"
 #include "poly/sampler.hpp"
 
 namespace {
@@ -62,26 +62,6 @@ Operands make_operands(std::size_t n, u64 q) {
   poly::Rng rng(0xD15'BA7C4);
   return {poly::sample_uniform(rng, n, q), poly::sample_uniform(rng, n, q),
           poly::sample_uniform(rng, n, q), poly::sample_uniform(rng, n, q)};
-}
-
-/// Unfused scalar reference tensor: 4 forward + 4 pointwise + 3 inverse,
-/// each its own pass, exactly how the pre-fusion host path ran.
-void tensor_unfused(const poly::NegacyclicNtt64& ntt, const Operands& op,
-                    Coeffs<u64>& y0, Coeffs<u64>& y1, Coeffs<u64>& y2) {
-  const auto& red = ntt.ring();
-  Coeffs<u64> a0(op.a0), a1(op.a1), b0(op.b0), b1(op.b1);
-  ntt.forward(a0);
-  ntt.forward(a1);
-  ntt.forward(b0);
-  ntt.forward(b1);
-  y0 = poly::pointwise_mul(red, a0, b0);
-  y1 = poly::pointwise_mul(red, a0, b1);
-  const auto cross = poly::pointwise_mul(red, a1, b0);
-  for (std::size_t i = 0; i < y1.size(); ++i) y1[i] = red.add(y1[i], cross[i]);
-  y2 = poly::pointwise_mul(red, a1, b1);
-  ntt.inverse(y0);
-  ntt.inverse(y1);
-  ntt.inverse(y2);
 }
 
 /// Best-of-`reps` wall ms of each body, after one warm-up call each.  The
@@ -123,38 +103,37 @@ int main(int argc, char** argv) {
     const u64 q = nt::find_ntt_prime_u64(sc.bits, n);
     const u64 psi = nt::primitive_2nth_root(q, n);
     const nt::Barrett64 red(q);
-    const poly::NegacyclicNtt64 scalar_ntt(red, n, psi);
     const poly::MergedNtt64 fused_ntt(red, n, psi);
     const Operands op = make_operands(n, q);
 
-    // Body 0 is the unfused reference, body 1 the fused tensor on the
-    // scalar lane, body 2 + i the fused tensor on lanes[i].
-    std::vector<std::array<Coeffs<u64>, 3>> out(2 + lanes.size());
-    std::vector<std::function<void()>> bodies{
-        [&] { tensor_unfused(scalar_ntt, op, out[0][0], out[0][1], out[0][2]); }};
-    for (std::size_t b = 1; b < out.size(); ++b)
+    // Body 0 is the fused tensor on the scalar lane (the reference), body
+    // 1 + i the fused tensor on lanes[i].
+    std::vector<std::array<Coeffs<u64>, 3>> out(1 + lanes.size());
+    std::vector<std::function<void()>> bodies;
+    for (std::size_t b = 0; b < out.size(); ++b)
       bodies.push_back([&, b] {
-        (void)nt::simd::force_isa(b == 1 ? Isa::kScalar : lanes[b - 2]);
+        (void)nt::simd::force_isa(b == 0 ? Isa::kScalar : lanes[b - 1]);
         fused_ntt.tensor(op.a0, op.a1, op.b0, op.b1, out[b][0], out[b][1], out[b][2]);
         nt::simd::clear_forced_isa();
       });
     const std::vector<double> ms = best_of_ms(sc.reps, bodies);
 
-    // Every path must agree bit-for-bit (the test battery holds this
+    // Every lane must agree bit-for-bit (the test battery holds this
     // contract too; the bench re-checks on its own operands for free).
-    for (std::size_t b = 1; b < out.size(); ++b)
-      if (out[b] != out[0]) {
-        std::fprintf(stderr, "n=%zu: fused tensor (path %zu) != scalar reference\n",
-                     n, b);
+    for (std::size_t i = 0; i < lanes.size(); ++i)
+      if (out[1 + i] != out[0]) {
+        std::fprintf(stderr, "n=%zu: fused tensor (%s) != scalar reference\n", n,
+                     nt::simd::isa_name(lanes[i]));
         ok = false;
       }
 
-    // Deterministic cost model (regression-tracked): both paths run the
+    // Deterministic cost model (regression-tracked): every lane runs the
     // same 7 * (n/2) * logn butterflies, 4n pointwise muls and 3n scaling
-    // muls per tensor -- the fused win is per-butterfly work (lazy
-    // reduction drops 2 conditional subtractions each) plus SIMD width,
-    // not arithmetic count.  Wall clock is machine-dependent and excluded;
-    // these counts pin the workload shape the timings were taken on.
+    // muls per tensor, and lazy reduction drops 2 conditional subtractions
+    // per butterfly against a canonical one -- the vector lanes' win is
+    // SIMD width, not arithmetic count.  Wall clock is machine-dependent
+    // and excluded; these counts pin the workload shape the timings were
+    // taken on.
     const std::uint64_t butterflies = 7ull * (n / 2) * logn;
     const std::uint64_t modmuls = butterflies + 7ull * n;
     const std::uint64_t lazy_csubs_saved = 2 * butterflies;
@@ -166,21 +145,20 @@ int main(int argc, char** argv) {
     eval::section("kernel dispatch, n = 2^" + std::to_string(logn) +
                   " (one 59-bit tower, BFV tensor)");
     eval::Table t({"path", "lane", "best ms", "vs scalar"});
-    t.row({"scalar unfused", "scalar", eval::fmt(ms[0], 3), "1.00x"});
-    t.row({"fused", "scalar", eval::fmt(ms[1], 3), eval::fmt(ms[0] / ms[1], 2) + "x"});
+    t.row({"fused", "scalar", eval::fmt(ms[0], 3), "1.00x"});
     for (std::size_t i = 0; i < lanes.size(); ++i)
-      t.row({"fused+simd", nt::simd::isa_name(lanes[i]), eval::fmt(ms[2 + i], 3),
-             eval::fmt(ms[0] / ms[2 + i], 2) + "x"});
+      t.row({"fused+simd", nt::simd::isa_name(lanes[i]), eval::fmt(ms[1 + i], 3),
+             eval::fmt(ms[0] / ms[1 + i], 2) + "x"});
     t.print();
 
-    // The hard floor: no vector lane may lose to the reference it
-    // replaced.  5% tolerance absorbs timer noise on the small rings.
+    // The hard floor: no vector lane may lose to the scalar lane.  5%
+    // tolerance absorbs timer noise on the small rings.
     for (std::size_t i = 0; i < lanes.size(); ++i)
-      if (ms[2 + i] > ms[0] * 1.05) {
+      if (ms[1 + i] > ms[0] * 1.05) {
         std::fprintf(stderr,
                      "REGRESSION: n=%zu fused+simd (%s) %.3f ms slower than "
                      "scalar %.3f ms\n",
-                     n, nt::simd::isa_name(lanes[i]), ms[2 + i], ms[0]);
+                     n, nt::simd::isa_name(lanes[i]), ms[1 + i], ms[0]);
         ok = false;
       }
   }

@@ -81,11 +81,11 @@ void BM_ShoupMul(benchmark::State& state) {
 }
 BENCHMARK(BM_ShoupMul);
 
-void BM_NegacyclicNtt64Forward(benchmark::State& state) {
+void BM_MergedNtt64Forward(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const u64 q = nt::find_ntt_prime_u64(55, n);
   nt::Barrett64 br(q);
-  poly::NegacyclicNtt64 ntt(br, n, nt::primitive_2nth_root(q, n));
+  poly::MergedNtt64 ntt(br, n, nt::primitive_2nth_root(q, n));
   poly::Rng rng(6);
   auto x = poly::sample_uniform(rng, n, q);
   for (auto _ : state) {
@@ -95,7 +95,7 @@ void BM_NegacyclicNtt64Forward(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n / 2 * nt::log2_exact(n)));
 }
-BENCHMARK(BM_NegacyclicNtt64Forward)->Arg(1 << 12)->Arg(1 << 13);
+BENCHMARK(BM_MergedNtt64Forward)->Arg(1 << 12)->Arg(1 << 13);
 
 void BM_MergedVsScaledNtt128(benchmark::State& state) {
   // Ablation: merged psi twiddles (one command) vs explicit psi scaling +

@@ -49,8 +49,7 @@ class CpuTensorKernel {
 
  private:
   std::size_t n_;
-  // Fused/SIMD tower engines (MergedNtt64); NegacyclicNtt64 in poly/ntt.hpp
-  // is the unfused scalar reference the differential tests pin this to.
+  // Fused/SIMD tower engines (MergedNtt64).
   std::vector<poly::MergedNtt64> ntts_;
   std::vector<nt::Barrett64> rings_;
   Executor exec_;

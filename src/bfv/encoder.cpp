@@ -23,18 +23,17 @@ std::int64_t IntegerEncoder::decode(const Plaintext& p) const {
                     : static_cast<std::int64_t>(c);
 }
 
+// primitive_2nth_root rejects a t that is not 1 mod 2n.
 BatchEncoder::BatchEncoder(const BfvContext& ctx)
-    : n_(ctx.n()), t_ring_(ctx.t()),
-      ntt_(t_ring_, ctx.n(), nt::primitive_2nth_root(ctx.t(), ctx.n())) {
-  if ((ctx.t() - 1) % (2 * ctx.n()) != 0)
-    throw std::invalid_argument("BatchEncoder: t must be prime with t == 1 mod 2n");
-}
+    : ntt_(nt::Barrett64(ctx.t()), ctx.n(),
+           nt::primitive_2nth_root(ctx.t(), ctx.n())) {}
 
 Plaintext BatchEncoder::encode(const std::vector<u64>& values) const {
-  if (values.size() > n_) throw std::invalid_argument("BatchEncoder: too many values");
-  poly::Coeffs<u64> slots(n_, 0);
+  if (values.size() > ntt_.n())
+    throw std::invalid_argument("BatchEncoder: too many values");
+  poly::Coeffs<u64> slots(ntt_.n(), 0);
   for (std::size_t i = 0; i < values.size(); ++i) {
-    if (values[i] >= t_ring_.modulus())
+    if (values[i] >= ntt_.modulus())
       throw std::invalid_argument("BatchEncoder: value >= t");
     slots[i] = values[i];
   }
@@ -45,8 +44,11 @@ Plaintext BatchEncoder::encode(const std::vector<u64>& values) const {
 }
 
 std::vector<u64> BatchEncoder::decode(const Plaintext& p) const {
+  if (p.coeffs.size() != ntt_.n())
+    throw std::invalid_argument("BatchEncoder: bad plaintext");
+  for (const u64 c : p.coeffs)
+    if (c >= ntt_.modulus()) throw std::invalid_argument("BatchEncoder: coefficient >= t");
   poly::Coeffs<u64> slots = p.coeffs;
-  if (slots.size() != n_) throw std::invalid_argument("BatchEncoder: bad plaintext");
   ntt_.forward(slots);
   return slots;
 }

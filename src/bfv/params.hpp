@@ -66,9 +66,7 @@ class BfvContext {
   [[nodiscard]] u64 delta_mod(std::size_t tower) const { return delta_mod_q_.at(tower); }
 
   // Tower engines are the fused/SIMD MergedNtt64 path (lazy-reduction
-  // butterflies, Shoup twiddles, nt::simd dispatch); NegacyclicNtt64 stays
-  // available in poly/ntt.hpp as the unfused scalar reference the
-  // differential suites compare against.
+  // butterflies, Shoup twiddles, nt::simd dispatch).
   [[nodiscard]] const poly::MergedNtt64& ntt(std::size_t tower) const {
     return q_ntt_.at(tower);
   }

@@ -129,20 +129,9 @@ void ntt_inverse_scalar(u64* x, std::size_t n, const u64* w, const u64* ws,
   scalar_mul_shoup_scalar(x, n, n_inv, n_inv_shoup, q);
 }
 
-void mont_mul_scalar(u64* dst, const u64* a, const u64* b, std::size_t len,
-                     u64 q, u64 qinv_neg) {
-  for (std::size_t i = 0; i < len; ++i) {
-    const u128 t = static_cast<u128>(a[i]) * b[i];
-    const u64 m = static_cast<u64>(t) * qinv_neg;
-    u64 r = static_cast<u64>((t + static_cast<u128>(m) * q) >> 64);
-    if (r >= q) r -= q;
-    dst[i] = r;
-  }
-}
-
 constexpr KernelTable kScalarTable = {
     ntt_forward_scalar,      ntt_inverse_scalar,      pointwise_mul_scalar,
-    pointwise_mul_acc_scalar, scalar_mul_shoup_scalar, mont_mul_scalar,
+    pointwise_mul_acc_scalar, scalar_mul_shoup_scalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -348,37 +337,16 @@ COFHEE_AVX2_FN void ntt_inverse_avx2(u64* x, std::size_t n, const u64* w,
   scalar_mul_shoup_avx2(x, n, n_inv, n_inv_shoup, q);
 }
 
-COFHEE_AVX2_FN void mont_mul_avx2(u64* dst, const u64* a, const u64* b,
-                                  std::size_t len, u64 q, u64 qinv_neg) {
-  const __m256i vq = bc4(q), vqi = bc4(qinv_neg), one = bc4(1);
-  const __m256i zero = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= len; i += 4) {
-    const __m256i va = ld4(a + i), vb = ld4(b + i);
-    const __m256i tlo = mm_mullo_epu64(va, vb);
-    const __m256i thi = mm_mulhi_epu64(va, vb);
-    const __m256i m = mm_mullo_epu64(tlo, vqi);
-    // REDC zeroes the low 64 bits of t + m*q, so the carry into the high
-    // half is exactly (tlo != 0).
-    const __m256i carry =
-        _mm256_andnot_si256(_mm256_cmpeq_epi64(tlo, zero), one);
-    const __m256i r = _mm256_add_epi64(
-        _mm256_add_epi64(thi, mm_mulhi_epu64(m, vq)), carry);
-    st4(dst + i, mm_csub_epu64(r, vq));
-  }
-  if (i < len) mont_mul_scalar(dst + i, a + i, b + i, len - i, q, qinv_neg);
-}
-
 constexpr KernelTable kAvx2Table = {
     ntt_forward_avx2,      ntt_inverse_avx2,      pointwise_mul_avx2,
-    pointwise_mul_acc_avx2, scalar_mul_shoup_avx2, mont_mul_avx2,
+    pointwise_mul_acc_avx2, scalar_mul_shoup_avx2,
 };
 
 // ---------------------------------------------------------------------------
 // AVX-512 lane (AVX-512F + DQ): whole transforms on eight-lane vectors with
 // native 64-bit low products and mask-register conditional subtractions.
-// The high products still come from four 32x32 partials.  Its pointwise,
-// scalar-multiply and Montgomery entries are the AVX2 bodies.
+// The high products still come from four 32x32 partials.  Its pointwise
+// and scalar-multiply entries are the AVX2 bodies.
 // ---------------------------------------------------------------------------
 
 #define COFHEE_AVX512_FN __attribute__((target("avx512f,avx512dq")))
@@ -532,7 +500,7 @@ COFHEE_AVX512_FN void ntt_inverse_avx512(u64* x, std::size_t n, const u64* w,
 
 constexpr KernelTable kAvx512Table = {
     ntt_forward_avx512,    ntt_inverse_avx512,    pointwise_mul_avx2,
-    pointwise_mul_acc_avx2, scalar_mul_shoup_avx2, mont_mul_avx2,
+    pointwise_mul_acc_avx2, scalar_mul_shoup_avx2,
 };
 
 #if defined(__GNUC__) && !defined(__clang__)
@@ -669,31 +637,9 @@ void pointwise_mul_acc_neon(u64* dst, const u64* a, const u64* b,
   if (i < len) pointwise_mul_acc_scalar(dst + i, a + i, b + i, len - i, q, mu, k);
 }
 
-void mont_mul_neon(u64* dst, const u64* a, const u64* b, std::size_t len,
-                   u64 q, u64 qinv_neg) {
-  const uint64x2_t vq = vdupq_n_u64(q);
-  const uint64x2_t vqi = vdupq_n_u64(qinv_neg);
-  const uint64x2_t one = vdupq_n_u64(1);
-  std::size_t i = 0;
-  for (; i + 2 <= len; i += 2) {
-    const uint64x2_t va = vld1q_u64(a + i);
-    const uint64x2_t vb = vld1q_u64(b + i);
-    const uint64x2_t tlo = nn_mullo_epu64(va, vb);
-    const uint64x2_t thi = nn_mulhi_epu64(va, vb);
-    const uint64x2_t m = nn_mullo_epu64(tlo, vqi);
-    // REDC zeroes the low 64 bits of t + m*q, so the carry into the high
-    // half is exactly (tlo != 0); vtst yields all-ones where tlo is nonzero.
-    const uint64x2_t carry = vandq_u64(vtstq_u64(tlo, tlo), one);
-    const uint64x2_t r =
-        vaddq_u64(vaddq_u64(thi, nn_mulhi_epu64(m, vq)), carry);
-    vst1q_u64(dst + i, nn_csub_u64(r, vq));
-  }
-  if (i < len) mont_mul_scalar(dst + i, a + i, b + i, len - i, q, qinv_neg);
-}
-
 constexpr KernelTable kNeonTable = {
     ntt_forward_neon,      ntt_inverse_neon,      pointwise_mul_neon,
-    pointwise_mul_acc_neon, scalar_mul_shoup_neon, mont_mul_neon,
+    pointwise_mul_acc_neon, scalar_mul_shoup_neon,
 };
 
 #endif  // COFHEE_SIMD_NEON

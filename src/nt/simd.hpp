@@ -105,10 +105,6 @@ struct KernelTable {
   /// x[i] = w * x[i] mod q by canonical Shoup multiplication (ShoupMul::mul
   /// semantics); accepts *any* u64 input.
   void (*scalar_mul_shoup)(u64* x, std::size_t len, u64 w, u64 wshoup, u64 q);
-  /// dst[i] = REDC(a[i] * b[i]) for Montgomery-domain residues < q
-  /// (Montgomery64::mul_raw semantics; qinv_neg = -q^-1 mod 2^64).
-  void (*mont_mul)(u64* dst, const u64* a, const u64* b, std::size_t len,
-                   u64 q, u64 qinv_neg);
 };
 
 /// Kernel table of the active lane.

@@ -161,14 +161,14 @@ using MergedNtt128 = MergedNtt<nt::Barrett128, u128>;
 /// active ISA lane runs every stage with Harvey lazy reduction (values ride
 /// in [0, 4q) forward / [0, 2q) inverse), canonicalizes once per forward
 /// transform and fuses the inverse's n^-1 scaling into its
-/// canonicalization pass.  The chip model's u64 datapath (chip::Mdmc) runs
-/// this engine too.
+/// canonicalization pass.  The chip model's u64 datapath (chip::Mdmc) and
+/// bfv::BatchEncoder (over Z_t) run this engine too.
 ///
 /// tensor() is the fused NTT -> pointwise -> INTT tower kernel behind
 /// Bfv::multiply and CpuTensorKernel: one call transforms all four operand
 /// towers and emits the three tensor components without materializing
-/// intermediate RnsPoly waves.  NegacyclicNtt64 (poly/ntt.hpp) remains the
-/// unfused scalar reference this engine is differentially tested against.
+/// intermediate RnsPoly waves.  The engine is differentially tested against
+/// CyclicNtt64 (poly/ntt.hpp) and the schoolbook product.
 class MergedNtt64 {
  public:
   MergedNtt64() = default;

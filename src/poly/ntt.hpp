@@ -1,28 +1,21 @@
-// Number Theoretic Transform engines.
+// Cyclic Number Theoretic Transform, CyclicNtt<Red, T>: the paper's
+// explicit psi-scaling form (Algorithms 1-2).  It is tested against the
+// schoolbook product and kept as the independent reference for the merged
+// engines of poly/merged_ntt.hpp, which the chip model, BFV and the batch
+// encoder run.
 //
-// Two implementations, both tested against the schoolbook product.  The
-// chip model and BFV's ciphertext products run neither: they run the merged
-// engines of poly/merged_ntt.hpp.
-//
-//  * CyclicNtt<Red, T> -- the paper's explicit psi-scaling form
-//    (Algorithms 1-2), kept as a reference.  Forward transform is a
-//    Gentleman-Sande decimation-in-frequency pass over the n-th root omega
-//    (natural input -> bit-reversed output); inverse is a Cooley-Tukey
-//    decimation-in-time pass (bit-reversed input -> natural output) plus the
-//    trailing n^-1 scaling (the chip's CMODMUL by INV_POLYDEG).  Negacyclic
-//    semantics come from explicit psi pre-scaling / psi^-1 post-scaling,
-//    exactly Algorithm 2 of the paper.  NTT and iNTT share a single omega
-//    table (paper Section VIII-B): inverse twiddles are read at mirrored
-//    addresses using omega^-e = -omega^(n/2 - e).
-//    Note: the paper's Algorithm 1 listing terminates its stage loop at
-//    distance 2, omitting the final distance-1 stage; the cycle counts in
-//    Table XI ((n/2)*log2 n butterflies) confirm the full log2 n stages, so
-//    we implement the complete transform.
-//
-//  * NegacyclicNtt64 -- the unfused scalar SEAL-style engine: psi powers
-//    merged into the twiddles (Longa-Naehrig), Shoup precomputation, u64
-//    towers.  The batch encoder runs it, and MergedNtt64 is differentially
-//    tested against it.
+// The forward transform is a Gentleman-Sande decimation-in-frequency pass
+// over the n-th root omega (natural input -> bit-reversed output); the
+// inverse is a Cooley-Tukey decimation-in-time pass (bit-reversed input ->
+// natural output) plus the trailing n^-1 scaling (the chip's CMODMUL by
+// INV_POLYDEG).  Negacyclic semantics come from explicit psi pre-scaling /
+// psi^-1 post-scaling, exactly Algorithm 2 of the paper.  NTT and iNTT share
+// a single omega table (paper Section VIII-B): inverse twiddles are read at
+// mirrored addresses using omega^-e = -omega^(n/2 - e).
+// Note: the paper's Algorithm 1 listing terminates its stage loop at
+// distance 2, omitting the final distance-1 stage; the cycle counts in
+// Table XI ((n/2)*log2 n butterflies) confirm the full log2 n stages, so we
+// implement the complete transform.
 #pragma once
 
 #include <cstdint>
@@ -42,15 +35,13 @@ class CyclicNtt {
  public:
   CyclicNtt() = default;
 
-  CyclicNtt(const Red& red, std::size_t n, T psi) : red_(red), n_(n), psi_(psi) {
+  CyclicNtt(const Red& red, std::size_t n, T psi) : red_(red), n_(n) {
     if (!nt::is_power_of_two(n) || n < 2)
       throw std::invalid_argument("CyclicNtt: n must be 2^k, k >= 1");
-    logn_ = nt::log2_exact(n);
     omega_ = red_.mul(psi, psi);
-    if (red_.pow(psi_, static_cast<T>(n)) != red_.modulus() - 1)
+    if (red_.pow(psi, static_cast<T>(n)) != red_.modulus() - 1)
       throw std::invalid_argument("CyclicNtt: psi is not a primitive 2n-th root");
-    psi_inv_ = red_.inv(psi_);
-    omega_inv_ = red_.inv(omega_);
+    const T psi_inv = red_.inv(psi);
     n_inv_ = red_.inv(static_cast<T>(n));
     // Twiddle ROM layout: omega^j for j in [0, n/2), natural order.
     tw_.resize(n / 2);
@@ -66,14 +57,13 @@ class CyclicNtt {
     for (std::size_t j = 0; j < n; ++j) {
       psi_pow_[j] = p;
       psi_inv_pow_[j] = pi;
-      p = red_.mul(p, psi_);
-      pi = red_.mul(pi, psi_inv_);
+      p = red_.mul(p, psi);
+      pi = red_.mul(pi, psi_inv);
     }
   }
 
   [[nodiscard]] std::size_t n() const noexcept { return n_; }
   [[nodiscard]] const Red& ring() const noexcept { return red_; }
-  [[nodiscard]] T psi() const noexcept { return psi_; }
   [[nodiscard]] T omega() const noexcept { return omega_; }
   [[nodiscard]] T n_inv() const noexcept { return n_inv_; }
   [[nodiscard]] const std::vector<T>& twiddle_rom() const noexcept { return tw_; }
@@ -151,38 +141,11 @@ class CyclicNtt {
 
   Red red_{};
   std::size_t n_ = 0;
-  unsigned logn_ = 0;
-  T psi_{}, psi_inv_{}, omega_{}, omega_inv_{}, n_inv_{};
+  T omega_{}, n_inv_{};
   std::vector<T> tw_, psi_pow_, psi_inv_pow_;
 };
 
 using CyclicNtt64 = CyclicNtt<nt::Barrett64, u64>;
 using CyclicNtt128 = CyclicNtt<nt::Barrett128, u128>;
-
-/// Software-baseline negacyclic NTT on 64-bit towers with merged psi powers
-/// and Shoup multiplication (the role SEAL's NTT plays in Fig. 6).
-class NegacyclicNtt64 {
- public:
-  NegacyclicNtt64() = default;
-  NegacyclicNtt64(const nt::Barrett64& red, std::size_t n, u64 psi);
-
-  [[nodiscard]] std::size_t n() const noexcept { return n_; }
-  [[nodiscard]] const nt::Barrett64& ring() const noexcept { return red_; }
-
-  /// In-place forward negacyclic NTT (natural in, bit-reversed out).
-  void forward(Coeffs<u64>& x) const;
-  /// In-place inverse negacyclic NTT (bit-reversed in, natural out),
-  /// including the n^-1 scaling.
-  void inverse(Coeffs<u64>& x) const;
-
-  Coeffs<u64> negacyclic_mul(const Coeffs<u64>& a, const Coeffs<u64>& b) const;
-
- private:
-  nt::Barrett64 red_{};
-  std::size_t n_ = 0;
-  std::vector<nt::ShoupMul> psi_br_;      // psi^rev(i), merged CT twiddles
-  std::vector<nt::ShoupMul> psi_inv_br_;  // psi^-rev(i), merged GS twiddles
-  nt::ShoupMul n_inv_{};
-};
 
 }  // namespace cofhee::poly

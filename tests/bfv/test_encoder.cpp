@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "poly/ntt.hpp"
+#include "poly/sampler.hpp"
+
 namespace cofhee::bfv {
 namespace {
 
@@ -73,6 +76,55 @@ TEST(BatchEncoder, RejectsOversizedInputs) {
   BatchEncoder enc(f.scheme.context());
   EXPECT_THROW((void)enc.encode(std::vector<u64>(65, 0)), std::invalid_argument);
   EXPECT_THROW((void)enc.encode({65537}), std::invalid_argument);
+  Plaintext p = enc.encode({5, 6});
+  p.coeffs[3] = 65537;  // out of Z_t: must not decode to garbage
+  EXPECT_THROW((void)enc.decode(p), std::invalid_argument);
+  p.coeffs.pop_back();
+  EXPECT_THROW((void)enc.decode(p), std::invalid_argument);
+  // 65539 is prime but not 1 mod 2n: Z_t has no 2n-th root to batch with.
+  const BfvContext odd_t(BfvParams::create(64, {40, 41}, 65539));
+  EXPECT_THROW(BatchEncoder{odd_t}, std::invalid_argument);
+}
+
+TEST(BatchEncoder, MatchesCyclicReferenceOnEveryPreset) {
+  // decode is the psi-scaled cyclic transform over Z_t (paper Algorithm 2),
+  // encode inverts it, and the negacyclic product of two encodings decodes
+  // to the slot-wise product -- on random, all-0, all-(t-1) and alternating
+  // 0/(t-1) inputs.
+  for (const auto& params :
+       {BfvParams::test_tiny(64), BfvParams::paper_small(), BfvParams::paper_large()}) {
+    const BfvContext ctx(params);
+    const BatchEncoder enc(ctx);
+    const std::size_t n = ctx.n();
+    const u64 t = ctx.t();
+    const nt::Barrett64 ring(t);
+    const poly::CyclicNtt64 cyclic(ring, n, nt::primitive_2nth_root(t, n));
+    poly::Rng rng(n);
+    std::vector<poly::Coeffs<u64>> inputs{poly::sample_uniform(rng, n, t),
+                                          poly::Coeffs<u64>(n, 0),
+                                          poly::Coeffs<u64>(n, t - 1),
+                                          poly::Coeffs<u64>(n, 0)};
+    for (std::size_t i = 1; i < n; i += 2) inputs[3][i] = t - 1;
+    const auto other = poly::sample_uniform(rng, n, t);
+    const Plaintext other_pt = enc.encode(other);
+    for (std::size_t k = 0; k < inputs.size(); ++k) {
+      const Plaintext p{inputs[k]};
+      auto want = inputs[k];
+      for (std::size_t i = 0; i < n; ++i) want[i] = ring.mul(want[i], cyclic.psi_powers()[i]);
+      cyclic.forward(want);
+      const auto slots = enc.decode(p);
+      ASSERT_EQ(slots, want) << "n=" << n << " pattern=" << k;
+      ASSERT_EQ(enc.encode(slots).coeffs, p.coeffs) << "n=" << n << " pattern=" << k;
+
+      // The encoding goes first: schoolbook skips its zero coefficients.
+      const Plaintext prod{poly::schoolbook_negacyclic_mul(
+          ring, enc.encode(inputs[k]).coeffs, other_pt.coeffs)};
+      const auto got = enc.decode(prod);
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(got[i], ring.mul(inputs[k][i], other[i]))
+            << "n=" << n << " pattern=" << k << " slot=" << i;
+    }
+  }
 }
 
 }  // namespace

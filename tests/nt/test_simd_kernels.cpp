@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "nt/barrett.hpp"
-#include "nt/montgomery.hpp"
 #include "nt/primes.hpp"
 #include "nt/simd.hpp"
 #include "poly/merged_ntt.hpp"
@@ -45,7 +44,7 @@ std::vector<Isa> vector_lanes() {
 
 // Moduli spanning the supported range: tiny (maximal wraparound pressure in
 // the lazy ranges), mid-size, NTT-friendly, and just under the 62-bit
-// Barrett64 ceiling (4q - 1 brushes 2^64).  Odd, as Montgomery requires.
+// Barrett64 ceiling (4q - 1 brushes 2^64).
 const u64 kModuli[] = {
     17,
     12289,                       // classic NTT prime
@@ -56,12 +55,6 @@ const u64 kModuli[] = {
 // Lengths covering the empty case, sub-vector lengths, exact vector
 // multiples, and tails for both 4-wide (AVX2) and 2-wide (NEON) bodies.
 const std::size_t kLens[] = {0, 1, 2, 3, 4, 5, 7, 8, 31, 64, 257};
-
-u64 qinv_neg_of(u64 q) {
-  u64 inv = q;
-  for (int i = 0; i < 5; ++i) inv *= 2 - q * inv;
-  return ~inv + 1;
-}
 
 u64 shoup_of(u64 w, u64 q) {
   return static_cast<u64>((static_cast<u128>(w) << 64) / q);
@@ -194,30 +187,6 @@ TEST(SimdKernels, ScalarMulShoupBitExactOnFullRange) {
         auto xi = x1;
         simd::kernels_for(isa).scalar_mul_shoup(xi.data(), len, w, ws, q);
         ASSERT_EQ(x0, xi) << simd::isa_name(isa) << " q=" << q << " len=" << len;
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, MontMulBitExact) {
-  const auto& ref = simd::kernels_for(Isa::kScalar);
-  for (u64 q : kModuli) {
-    if (q < 3) continue;
-    const cofhee::nt::Montgomery64 mont(q);
-    const u64 qinv_neg = qinv_neg_of(q);
-    std::mt19937_64 rng(0xC0F4EE07 ^ q);
-    for (std::size_t len : kLens) {
-      const auto a = seeded(rng, len, q, q);
-      const auto b = seeded(rng, len, q, q);
-      std::vector<u64> d0(len, 0);
-      ref.mont_mul(d0.data(), a.data(), b.data(), len, q, qinv_neg);
-      for (std::size_t i = 0; i < len; ++i)
-        ASSERT_EQ(d0[i], mont.mul_raw(a[i], b[i]));  // scalar == Montgomery64
-      for (Isa isa : vector_lanes()) {
-        std::vector<u64> d1(len, 0);
-        simd::kernels_for(isa).mont_mul(d1.data(), a.data(), b.data(), len, q,
-                                        qinv_neg);
-        ASSERT_EQ(d0, d1) << simd::isa_name(isa) << " q=" << q << " len=" << len;
       }
     }
   }

@@ -30,6 +30,15 @@ struct Fix {
       : n(n_), ring(q), psi(nt::primitive_2nth_root(q, n_)), eng(ring, n_, psi) {}
 };
 
+// The merged forward transform written as Algorithm 2's first half: psi
+// pre-scaling, then the cyclic omega NTT (bit-reversed out).
+Coeffs<u64> psi_scaled_forward(const CyclicNtt64& ntt, Coeffs<u64> x) {
+  for (std::size_t i = 0; i < x.size(); ++i)
+    x[i] = ntt.ring().mul(x[i], ntt.psi_powers()[i]);
+  ntt.forward(x);
+  return x;
+}
+
 TEST(MergedNtt, RoundTrip64) {
   const u64 q = nt::find_ntt_prime_u64(50, 512);
   Fix<nt::Barrett64, u64> f(512, q);
@@ -54,16 +63,20 @@ TEST(MergedNtt, MulMatchesSchoolbook128) {
 }
 
 TEST(MergedNtt, AgreesWithShoupEngine) {
-  // Same transform as the production 64-bit engine, different arithmetic.
+  // Same transform as the production 64-bit (Shoup, lazy) engine, different
+  // arithmetic; both equal the psi-scaled cyclic transform of Algorithm 2.
   const u64 q = nt::find_ntt_prime_u64(55, 256);
   Fix<nt::Barrett64, u64> f(256, q);
-  NegacyclicNtt64 shoup(f.ring, 256, f.psi);
+  const MergedNtt64 shoup(f.ring, 256, f.psi);
+  const CyclicNtt64 cyclic(f.ring, 256, f.psi);
   Rng rng(3);
   auto a = sample_uniform(rng, 256, q);
   auto b = a;
+  const auto want = psi_scaled_forward(cyclic, a);
   f.eng.forward(a);
   shoup.forward(b);
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(a, want);
+  EXPECT_EQ(b, want);
 }
 
 TEST(MergedNtt, AgreesWithExplicitPsiScalingPath) {
@@ -199,10 +212,10 @@ INSTANTIATE_TEST_SUITE_P(Degrees, MergedDegreeSweep,
                          ::testing::Values(2, 4, 8, 16, 32, 64, 128, 256));
 
 // ---------------------------------------------------------------------------
-// MergedNtt64 -- the fused/SIMD host engine that replaced NegacyclicNtt64 as
-// the default Bfv / CpuTensorKernel path.  The unfused scalar engine stays
-// in poly/ntt.hpp purely as the differential reference these tests pin the
-// production path against, across every shipped parameter set.
+// MergedNtt64 -- the fused/SIMD host engine behind Bfv, CpuTensorKernel,
+// BatchEncoder and the chip's u64 datapath, pinned across every shipped
+// parameter set against the paper's psi-scaled CyclicNtt64 (poly/ntt.hpp)
+// and the schoolbook product.
 // ---------------------------------------------------------------------------
 
 // Negacyclic schoolbook product over Z_t (u64 modulus, u128 intermediate):
@@ -231,8 +244,9 @@ std::vector<bfv::BfvParams> all_param_sets() {
 
 TEST(MergedNtt64, RoundTripAndScalarReferenceAcrossParamSets) {
   // Every tower of every shipped parameter set (Q and the aux extension):
-  // forward/inverse round-trips, and the forward image matches the unfused
-  // scalar engine bit for bit (so does the inverse, transitively).
+  // forward/inverse round-trips, and the forward image matches the
+  // psi-scaled cyclic transform bit for bit (so does the inverse,
+  // transitively).
   for (const auto& params : all_param_sets()) {
     std::vector<u64> moduli = params.q_moduli;
     moduli.insert(moduli.end(), params.aux_moduli.begin(),
@@ -241,14 +255,13 @@ TEST(MergedNtt64, RoundTripAndScalarReferenceAcrossParamSets) {
       const nt::Barrett64 ring(q);
       const u64 psi = nt::primitive_2nth_root(q, params.n);
       const MergedNtt64 fused(ring, params.n, psi);
-      const NegacyclicNtt64 reference(ring, params.n, psi);
+      const CyclicNtt64 reference(ring, params.n, psi);
       Rng rng(q ^ params.n);
       const auto x = sample_uniform(rng, params.n, q);
       auto fwd_fused = x;
       fused.forward(fwd_fused);
-      auto fwd_ref = x;
-      reference.forward(fwd_ref);
-      ASSERT_EQ(fwd_fused, fwd_ref) << "n=" << params.n << " q=" << q;
+      ASSERT_EQ(fwd_fused, psi_scaled_forward(reference, x))
+          << "n=" << params.n << " q=" << q;
       fused.inverse(fwd_fused);
       ASSERT_EQ(fwd_fused, x) << "n=" << params.n << " q=" << q;
     }
@@ -271,13 +284,14 @@ TEST(MergedNtt64, MulMatchesSchoolbookAcrossModulusSizes) {
 
 TEST(MergedNtt64, TensorMatchesUnfusedReference) {
   // The fused tensor (4 forward + 4 pointwise + 3 inverse in one call) must
-  // equal the unfused pipeline assembled from the scalar reference engine.
+  // equal the tensor assembled from the psi-scaled cyclic engine's
+  // negacyclic products.
   const std::size_t n = 256;
   const u64 q = nt::find_ntt_prime_u64(50, n);
   const nt::Barrett64 ring(q);
   const u64 psi = nt::primitive_2nth_root(q, n);
   const MergedNtt64 fused(ring, n, psi);
-  const NegacyclicNtt64 reference(ring, n, psi);
+  const CyclicNtt64 reference(ring, n, psi);
   Rng rng(7);
   const auto a0 = sample_uniform(rng, n, q);
   const auto a1 = sample_uniform(rng, n, q);
@@ -287,23 +301,10 @@ TEST(MergedNtt64, TensorMatchesUnfusedReference) {
   Coeffs<u64> y0, y1, y2;
   fused.tensor(a0, a1, b0, b1, y0, y1, y2);
 
-  auto fa0 = a0, fa1 = a1, fb0 = b0, fb1 = b1;
-  reference.forward(fa0);
-  reference.forward(fa1);
-  reference.forward(fb0);
-  reference.forward(fb1);
-  Coeffs<u64> r0(n), r1(n), r2(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    r0[i] = ring.mul(fa0[i], fb0[i]);
-    r1[i] = ring.add(ring.mul(fa0[i], fb1[i]), ring.mul(fa1[i], fb0[i]));
-    r2[i] = ring.mul(fa1[i], fb1[i]);
-  }
-  reference.inverse(r0);
-  reference.inverse(r1);
-  reference.inverse(r2);
-  EXPECT_EQ(y0, r0);
-  EXPECT_EQ(y1, r1);
-  EXPECT_EQ(y2, r2);
+  EXPECT_EQ(y0, reference.negacyclic_mul(a0, b0));
+  EXPECT_EQ(y1, pointwise_add(ring, reference.negacyclic_mul(a0, b1),
+                              reference.negacyclic_mul(a1, b0)));
+  EXPECT_EQ(y2, reference.negacyclic_mul(a1, b1));
 }
 
 // ---------------------------------------------------------------------------
@@ -371,7 +372,7 @@ class MergedChainSweep : public ::testing::TestWithParam<int> {};
 TEST_P(MergedChainSweep, MultRelinDecryptChainFusedVsUnfused) {
   // Full EvalMult chain differential: the production scheme (fused + SIMD
   // engines everywhere) against a from-parts software reference built on the
-  // unfused scalar NegacyclicNtt64 -- byte-identical at the tensor, the
+  // psi-scaled CyclicNtt64 -- byte-identical at the tensor, the
   // relinearized ciphertext, and the decrypted plaintext (which must be the
   // schoolbook negacyclic product mod t).
   const auto params = all_param_sets()[static_cast<std::size_t>(GetParam())];
@@ -391,7 +392,7 @@ TEST_P(MergedChainSweep, MultRelinDecryptChainFusedVsUnfused) {
   const auto tensor = scheme.multiply(ct1, ct2);
   const auto relin = scheme.relinearize(tensor, rk);
 
-  // Unfused reference: extend, per-tower scalar-engine tensor, scale-round.
+  // Unfused reference: extend, per-tower cyclic-engine tensor, scale-round.
   const auto ea0 = scheme.extend_centered_public(ct1.c[0]);
   const auto ea1 = scheme.extend_centered_public(ct1.c[1]);
   const auto eb0 = scheme.extend_centered_public(ct2.c[0]);
@@ -403,26 +404,14 @@ TEST_P(MergedChainSweep, MultRelinDecryptChainFusedVsUnfused) {
   y2.towers.resize(ext);
   for (std::size_t tw = 0; tw < ext; ++tw) {
     const auto& ring = ctx.ext_basis().tower(tw);
-    const NegacyclicNtt64 eng(ring, ctx.n(),
-                              nt::primitive_2nth_root(ring.modulus(), ctx.n()));
-    auto fa0 = ea0.towers[tw], fa1 = ea1.towers[tw];
-    auto fb0 = eb0.towers[tw], fb1 = eb1.towers[tw];
-    eng.forward(fa0);
-    eng.forward(fa1);
-    eng.forward(fb0);
-    eng.forward(fb1);
-    Coeffs<u64> r0(ctx.n()), r1(ctx.n()), r2(ctx.n());
-    for (std::size_t i = 0; i < ctx.n(); ++i) {
-      r0[i] = ring.mul(fa0[i], fb0[i]);
-      r1[i] = ring.add(ring.mul(fa0[i], fb1[i]), ring.mul(fa1[i], fb0[i]));
-      r2[i] = ring.mul(fa1[i], fb1[i]);
-    }
-    eng.inverse(r0);
-    eng.inverse(r1);
-    eng.inverse(r2);
-    y0.towers[tw] = std::move(r0);
-    y1.towers[tw] = std::move(r1);
-    y2.towers[tw] = std::move(r2);
+    const CyclicNtt64 eng(ring, ctx.n(),
+                          nt::primitive_2nth_root(ring.modulus(), ctx.n()));
+    const auto &a0 = ea0.towers[tw], &a1 = ea1.towers[tw];
+    const auto &b0 = eb0.towers[tw], &b1 = eb1.towers[tw];
+    y0.towers[tw] = eng.negacyclic_mul(a0, b0);
+    y1.towers[tw] = pointwise_add(ring, eng.negacyclic_mul(a0, b1),
+                                  eng.negacyclic_mul(a1, b0));
+    y2.towers[tw] = eng.negacyclic_mul(a1, b1);
   }
   ASSERT_EQ(tensor.c[0].towers, scheme.scale_round_public(y0).towers);
   ASSERT_EQ(tensor.c[1].towers, scheme.scale_round_public(y1).towers);
@@ -433,8 +422,8 @@ TEST_P(MergedChainSweep, MultRelinDecryptChainFusedVsUnfused) {
   poly::RnsPoly rc0 = tensor.c[0], rc1 = tensor.c[1];
   for (std::size_t tw = 0; tw < ctx.q_basis().size(); ++tw) {
     const auto& ring = ctx.q_basis().tower(tw);
-    const NegacyclicNtt64 eng(ring, ctx.n(),
-                              nt::primitive_2nth_root(ring.modulus(), ctx.n()));
+    const CyclicNtt64 eng(ring, ctx.n(),
+                          nt::primitive_2nth_root(ring.modulus(), ctx.n()));
     for (std::size_t d = 0; d < digits.size(); ++d) {
       const auto pb =
           eng.negacyclic_mul(digits[d].towers[tw], rk.keys[d].first.towers[tw]);

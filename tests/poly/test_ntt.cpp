@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "nt/primes.hpp"
+#include "poly/merged_ntt.hpp"
 #include "poly/sampler.hpp"
 
 namespace cofhee::poly {
@@ -96,31 +97,11 @@ TEST(CyclicNtt64, RejectsWrongLength) {
   EXPECT_THROW(ntt.forward(x), std::invalid_argument);
 }
 
-TEST(NegacyclicNtt64, RoundTrip) {
-  Fixture64 f(1024, 50);
-  NegacyclicNtt64 ntt(f.ring, f.n, f.psi);
-  Rng rng(46);
-  const auto x = sample_uniform(rng, f.n, f.ring.modulus());
-  auto y = x;
-  ntt.forward(y);
-  ntt.inverse(y);
-  EXPECT_EQ(y, x);
-}
-
-TEST(NegacyclicNtt64, MulMatchesSchoolbook) {
-  Fixture64 f(128, 50);
-  NegacyclicNtt64 ntt(f.ring, f.n, f.psi);
-  Rng rng(47);
-  const auto a = sample_uniform(rng, f.n, f.ring.modulus());
-  const auto b = sample_uniform(rng, f.n, f.ring.modulus());
-  EXPECT_EQ(ntt.negacyclic_mul(a, b), schoolbook_negacyclic_mul(f.ring, a, b));
-}
-
-TEST(NegacyclicNtt64, AgreesWithChipPath) {
-  // The merged-psi software NTT and the chip's psi-scale+cyclic-NTT pipeline
+TEST(MergedNtt64, AgreesWithChipPath) {
+  // The merged-psi host NTT and the paper's psi-scale+cyclic-NTT pipeline
   // must produce identical negacyclic products (Algorithm 2 equivalence).
   Fixture64 f(256, 48);
-  NegacyclicNtt64 sw(f.ring, f.n, f.psi);
+  MergedNtt64 sw(f.ring, f.n, f.psi);
   CyclicNtt64 hw(f.ring, f.n, f.psi);
   Rng rng(48);
   const auto a = sample_uniform(rng, f.n, f.ring.modulus());
@@ -165,7 +146,7 @@ TEST_P(NttDegreeSweep, BothEnginesMatchSchoolbook) {
   const std::size_t n = GetParam();
   Fixture64 f(n, 34);
   CyclicNtt64 hw(f.ring, n, f.psi);
-  NegacyclicNtt64 sw(f.ring, n, f.psi);
+  MergedNtt64 sw(f.ring, n, f.psi);
   Rng rng(1000 + n);
   const auto a = sample_uniform(rng, n, f.ring.modulus());
   const auto b = sample_uniform(rng, n, f.ring.modulus());

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "nt/primes.hpp"
+#include "poly/merged_ntt.hpp"
 #include "poly/ntt.hpp"
 #include "poly/rns.hpp"
 #include "poly/sampler.hpp"
@@ -73,7 +74,7 @@ TEST_P(NttVsNaive, ForwardInverseRoundTripAllPrimes) {
     const auto& ring = basis.tower(t);
     const u64 psi = nt::primitive_2nth_root(ring.modulus(), n);
     const CyclicNtt64 hw(ring, n, psi);
-    const NegacyclicNtt64 sw(ring, n, psi);
+    const MergedNtt64 sw(ring, n, psi);
     const auto x = sample_uniform(rng, n, ring.modulus());
     auto y = x;
     hw.forward(y);
@@ -95,7 +96,7 @@ TEST_P(NttVsNaive, NegacyclicMulMatchesNaiveAllPrimes) {
     const u64 q = ring.modulus();
     const u64 psi = nt::primitive_2nth_root(q, n);
     const CyclicNtt64 hw(ring, n, psi);
-    const NegacyclicNtt64 sw(ring, n, psi);
+    const MergedNtt64 sw(ring, n, psi);
     const auto a = sample_uniform(rng, n, q);
     const auto b = sample_uniform(rng, n, q);
     const auto expect = naive_negacyclic(a, b, q);
