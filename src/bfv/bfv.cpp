@@ -1,5 +1,6 @@
 #include "bfv/bfv.hpp"
 
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -8,16 +9,6 @@ namespace cofhee::bfv {
 using poly::BigInt;
 using poly::Coeffs;
 using poly::RnsPoly;
-
-namespace {
-
-/// Map a signed big integer (mag, neg) into residues of one tower.
-u64 signed_mod(const BigInt& mag, bool neg, u64 q) {
-  const u64 r = mag.mod_u64(q);
-  return neg ? (r == 0 ? 0 : q - r) : r;
-}
-
-}  // namespace
 
 poly::RnsPoly Bfv::sample_small_rns(bool ternary) {
   const auto s = ternary ? poly::sample_ternary(rng_, ctx_.n())
@@ -74,8 +65,14 @@ RelinKeys Bfv::keygen_relin(const SecretKey& sk, unsigned digit_bits) {
   return rk;
 }
 
-Ciphertext Bfv::encrypt(const PublicKey& pk, const Plaintext& m) {
+void Bfv::check_plaintext(const Plaintext& m) const {
   if (m.coeffs.size() != ctx_.n()) throw std::invalid_argument("Bfv: bad plaintext size");
+  for (u64 c : m.coeffs)
+    if (c >= ctx_.t()) throw std::invalid_argument("Bfv: coeff >= t");
+}
+
+Ciphertext Bfv::encrypt(const PublicKey& pk, const Plaintext& m) {
+  check_plaintext(m);
   const RnsPoly u = sample_small_rns(true);
   const RnsPoly e1 = sample_small_rns(false);
   const RnsPoly e2 = sample_small_rns(false);
@@ -84,11 +81,9 @@ Ciphertext Bfv::encrypt(const PublicKey& pk, const Plaintext& m) {
   RnsPoly c0 = ctx_.add(ctx_.mul(pk.p0, u), e1);
   ctx_.exec().for_each(ctx_.q_basis().size(), [&](std::size_t i) {
     const auto& ring = ctx_.q_basis().tower(i);
-    const u64 dm = ctx_.delta_mod(i);
-    for (std::size_t j = 0; j < ctx_.n(); ++j) {
-      if (m.coeffs[j] >= ctx_.t()) throw std::invalid_argument("Bfv: coeff >= t");
-      c0.towers[i][j] = ring.add(c0.towers[i][j], ring.mul(dm, m.coeffs[j] % ring.modulus()));
-    }
+    const nt::ShoupMul dm(ctx_.delta_mod(i), ring.modulus());
+    for (std::size_t j = 0; j < ctx_.n(); ++j)
+      c0.towers[i][j] = ring.add(c0.towers[i][j], dm.mul(m.coeffs[j]));
   });
   ct.c.push_back(std::move(c0));
   ct.c.push_back(ctx_.add(ctx_.mul(pk.p1, u), e2));
@@ -104,20 +99,19 @@ Plaintext Bfv::decrypt(const SecretKey& sk, const Ciphertext& ct) const {
   Plaintext m;
   m.coeffs.assign(ctx_.n(), 0);
   const u64 t = ctx_.t();
-  // Coefficient-wise CRT lift + t/q rounding; each task owns a contiguous
-  // coefficient range and its own residue scratch.
+  const auto& qb = ctx_.q_basis();
+  const auto& round_t_q = ctx_.host_rns().round_t_q;
+  // Coefficient-wise t/Q rounding of the centered x, in Z_t: the sign fold
+  // cancels, since round(t (x - Q) / Q) = round(t x / Q) - t, so the
+  // coefficient is f = round(t x / Q) in [0, t], read mod t.  Each task owns
+  // a contiguous coefficient range and its own scratch.
   ctx_.exec().for_ranges(ctx_.n(), [&](std::size_t lo, std::size_t hi) {
-    std::vector<u64> res(ctx_.q_basis().size());
+    std::vector<u64> res(qb.size()), digits(qb.size());
     for (std::size_t j = lo; j < hi; ++j) {
       for (std::size_t i = 0; i < res.size(); ++i) res[i] = v.towers[i][j];
-      auto [mag, neg] = ctx_.q_basis().reconstruct_centered(res);
-      // round(t * |x| / Q) then fold the sign into Z_t.
-      u64 carry = 0;
-      const BigInt num = mag.mul_small(t, &carry);
-      if (carry != 0) throw std::logic_error("Bfv: t*x overflow");
-      const BigInt r = nt::div_round(num, ctx_.big_q());
-      const u64 mt = r.mod_u64(t);
-      m.coeffs[j] = neg ? (mt == 0 ? 0 : t - mt) : mt;
+      qb.mixed_radix(res, digits);
+      const u64 f = round_t_q(digits);
+      m.coeffs[j] = f == t ? 0 : f;
     }
   });
   return m;
@@ -137,24 +131,25 @@ Ciphertext Bfv::negate(const Ciphertext& a) const {
 }
 
 Ciphertext Bfv::add_plain(const Ciphertext& a, const Plaintext& m) const {
+  check_plaintext(m);
   Ciphertext r = a;
   for (std::size_t i = 0; i < ctx_.q_basis().size(); ++i) {
     const auto& ring = ctx_.q_basis().tower(i);
-    const u64 dm = ctx_.delta_mod(i);
+    const nt::ShoupMul dm(ctx_.delta_mod(i), ring.modulus());
     for (std::size_t j = 0; j < ctx_.n(); ++j)
-      r.c[0].towers[i][j] =
-          ring.add(r.c[0].towers[i][j], ring.mul(dm, m.coeffs[j] % ring.modulus()));
+      r.c[0].towers[i][j] = ring.add(r.c[0].towers[i][j], dm.mul(m.coeffs[j]));
   }
   return r;
 }
 
 Ciphertext Bfv::mul_plain(const Ciphertext& a, const Plaintext& m) const {
   // Plaintext coefficients are small (< t); embed directly in every tower.
+  check_plaintext(m);
   RnsPoly mp;
   mp.towers.assign(ctx_.q_basis().size(), poly::Coeffs<u64>(ctx_.n()));
   ctx_.exec().for_each(ctx_.q_basis().size(), [&](std::size_t i) {
     for (std::size_t j = 0; j < ctx_.n(); ++j)
-      mp.towers[i][j] = m.coeffs[j] % ctx_.q_basis().modulus(i);
+      mp.towers[i][j] = ctx_.host_rns().one_mod_q[i].mul(m.coeffs[j]);
   });
   Ciphertext r;
   for (const auto& comp : a.c) r.c.push_back(ctx_.mul(comp, mp));
@@ -164,18 +159,24 @@ Ciphertext Bfv::mul_plain(const Ciphertext& a, const Plaintext& m) const {
 poly::RnsPoly Bfv::extend_centered(const RnsPoly& p) const {
   const auto& qb = ctx_.q_basis();
   const auto& eb = ctx_.ext_basis();
-  const BigInt half = qb.product() >> 1;
+  const auto& rns = ctx_.host_rns();
+  const std::size_t kq = qb.size();
   RnsPoly out;
-  out.towers.assign(eb.size(), Coeffs<u64>(ctx_.n()));
+  out.towers.resize(eb.size());
+  // The Q towers pass through: the centered value x - [x > Q/2] Q is x
+  // mod every q_i.
+  for (std::size_t i = 0; i < kq; ++i) out.towers[i] = p.towers[i];
+  for (std::size_t i = kq; i < eb.size(); ++i) out.towers[i].resize(ctx_.n());
   ctx_.exec().for_ranges(ctx_.n(), [&](std::size_t lo, std::size_t hi) {
-    std::vector<u64> res(qb.size());
+    std::vector<u64> res(kq), digits(kq);
     for (std::size_t j = lo; j < hi; ++j) {
-      for (std::size_t i = 0; i < qb.size(); ++i) res[i] = p.towers[i][j];
-      BigInt x = qb.reconstruct(res);
-      const bool neg = x > half;
-      const BigInt mag = neg ? qb.product() - x : x;
-      for (std::size_t i = 0; i < eb.size(); ++i)
-        out.towers[i][j] = signed_mod(mag, neg, eb.modulus(i));
+      for (std::size_t i = 0; i < kq; ++i) res[i] = p.towers[i][j];
+      qb.mixed_radix(res, digits);
+      const bool neg = qb.exceeds_half(digits);
+      for (std::size_t a = 0; a < rns.q_to_aux.size(); ++a) {
+        const u64 x = rns.q_to_aux[a](digits);
+        out.towers[kq + a][j] = neg ? eb.tower(kq + a).sub(x, rns.q_mod_aux[a]) : x;
+      }
     }
   });
   return out;
@@ -184,22 +185,28 @@ poly::RnsPoly Bfv::extend_centered(const RnsPoly& p) const {
 poly::RnsPoly Bfv::scale_round_to_q(const RnsPoly& y_ext) const {
   const auto& qb = ctx_.q_basis();
   const auto& eb = ctx_.ext_basis();
-  const BigInt half = eb.product() >> 1;
+  const auto& rns = ctx_.host_rns();
+  // The ext basis lists the Q towers first, so y = y_Q + Q y_B with y_Q the
+  // value of the first |Q| digits.  With f = round(t y_Q / Q) in [0, t],
+  // round(t y / Q) = t y_B + f, and for a negative y (y > P/2, P = Q B) the
+  // centered rounding is -round(t (P - y) / Q) = t (y_B - B) + f: Q is odd,
+  // so t y_Q / Q is never a half-integer and rounding has no ties.
   RnsPoly out;
   out.towers.assign(qb.size(), Coeffs<u64>(ctx_.n()));
   ctx_.exec().for_ranges(ctx_.n(), [&](std::size_t lo, std::size_t hi) {
-    std::vector<u64> res(eb.size());
+    std::vector<u64> res(eb.size()), digits(eb.size());
     for (std::size_t j = lo; j < hi; ++j) {
       for (std::size_t i = 0; i < eb.size(); ++i) res[i] = y_ext.towers[i][j];
-      BigInt y = eb.reconstruct(res);
-      const bool neg = y > half;
-      const BigInt mag = neg ? eb.product() - y : y;
-      u64 carry = 0;
-      const BigInt num = mag.mul_small(ctx_.t(), &carry);
-      if (carry != 0) throw std::logic_error("Bfv: tensor scale overflow");
-      const BigInt m = nt::div_round(num, ctx_.big_q());
-      for (std::size_t i = 0; i < qb.size(); ++i)
-        out.towers[i][j] = signed_mod(m, neg, qb.modulus(i));
+      eb.mixed_radix(res, digits);
+      const bool neg = eb.exceeds_half(digits);
+      const u64 f = rns.round_t_q(digits);
+      for (std::size_t i = 0; i < qb.size(); ++i) {
+        const auto& ring = qb.tower(i);
+        u64 yb = rns.b_to_q[i](digits);
+        if (neg) yb = ring.sub(yb, rns.b_mod_q[i]);
+        const u64 fq = f < ring.modulus() ? f : rns.one_mod_q[i].mul(f);
+        out.towers[i][j] = ring.add(rns.t_mod_q[i].mul(yb), fq);
+      }
     }
   });
   return out;
@@ -260,24 +267,35 @@ void Bfv::validate_relin_keys(const RelinKeys& rk) const {
 
 std::vector<RnsPoly> Bfv::relin_digits(const RnsPoly& c2, const RelinKeys& rk) const {
   const auto& qb = ctx_.q_basis();
+  const auto& one_mod_q = ctx_.host_rns().one_mod_q;
   const unsigned w = rk.digit_bits;
-  const u64 mask = (w == 64) ? ~u64{0} : ((u64{1} << w) - 1);
+  const u64 mask = (u64{1} << w) - 1;  // w <= 32 (validate_relin_keys)
+  const std::size_t limbs = qb.limbs();
 
-  // Digit-decompose c2 over the integers: c2 = sum_d D_d 2^(w d).  Each
-  // task lifts a contiguous coefficient range; digit writes are disjoint.
+  // Digit-decompose c2 over the integers: c2 = sum_d D_d 2^(w d), with c2's
+  // binary value built by Horner over its mixed-radix digits.  Each task
+  // converts a contiguous coefficient range; digit writes are disjoint.
   const std::size_t nd = rk.keys.size();
   std::vector<RnsPoly> digits(nd);
   for (auto& d : digits) d.towers.assign(qb.size(), Coeffs<u64>(ctx_.n(), 0));
   ctx_.exec().for_ranges(ctx_.n(), [&](std::size_t lo, std::size_t hi) {
-    std::vector<u64> res(qb.size());
+    std::vector<u64> res(qb.size()), radix(qb.size());
+    std::array<u64, BigInt::limbs()> x{};
     for (std::size_t j = lo; j < hi; ++j) {
       for (std::size_t i = 0; i < qb.size(); ++i) res[i] = c2.towers[i][j];
-      BigInt x = qb.reconstruct(res);
+      qb.mixed_radix(res, radix);
+      qb.horner(radix, std::span(x.data(), limbs));
       for (std::size_t d = 0; d < nd; ++d) {
-        const u64 digit = x.limb[0] & mask;
-        x >>= w;
+        const std::size_t bit = w * d, l = bit / 64, sh = bit % 64;
+        u64 digit = 0;
+        if (l < limbs) {
+          digit = x[l] >> sh;
+          if (sh + w > 64 && l + 1 < limbs) digit |= x[l + 1] << (64 - sh);
+        }
+        digit &= mask;
         for (std::size_t i = 0; i < qb.size(); ++i)
-          digits[d].towers[i][j] = digit % qb.modulus(i);
+          digits[d].towers[i][j] =
+              digit < qb.modulus(i) ? digit : one_mod_q[i].mul(digit);
       }
     }
   });

@@ -4,10 +4,12 @@
 // Encryption follows Eqs. 2-3; homomorphic multiplication evaluates the
 // Eq. 4 tensor with exact arithmetic: inputs are base-extended (centered)
 // from Q to Q u B, the three tensor polynomials are computed with per-tower
-// NTTs, and the t/q rounding is done through an exact CRT lift -- no
-// floating-point approximation, so decryption correctness is provable and
-// the tests can assert exact plaintext results.  Relinearization uses
-// classic base-2^w digit decomposition key switching.
+// NTTs, and the t/q rounding maps back to Q.  These host phases, decryption
+// and the relinearization digits all run in word arithmetic on each
+// coefficient's mixed-radix CRT digits (poly/rns.hpp): the digits are exact,
+// so the results are too -- decryption correctness is provable and the tests
+// can assert exact plaintext results.  Relinearization uses classic
+// base-2^w digit decomposition key switching.
 #pragma once
 
 #include <cstdint>
@@ -122,6 +124,8 @@ class Bfv {
 
  private:
   [[nodiscard]] poly::RnsPoly sample_small_rns(bool ternary);
+  /// Throws std::invalid_argument unless m has n coefficients, each < t.
+  void check_plaintext(const Plaintext& m) const;
   /// Centered exact base extension Q -> Q u B of one polynomial.
   [[nodiscard]] poly::RnsPoly extend_centered(const poly::RnsPoly& p) const;
   /// round(t * y / Q) mod Q for a polynomial given in the extended basis.

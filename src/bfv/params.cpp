@@ -76,6 +76,23 @@ BfvContext::BfvContext(BfvParams params, backend::ExecPolicy policy)
   delta_mod_q_.resize(q_basis_.size());
   for (std::size_t i = 0; i < q_basis_.size(); ++i)
     delta_mod_q_[i] = delta_.mod_u64(q_basis_.modulus(i));
+
+  const std::size_t kq = q_basis_.size();
+  for (std::size_t a = kq; a < ext_basis_.size(); ++a) {
+    const u64 p = ext_basis_.modulus(a);
+    rns_.q_to_aux.emplace_back(q_basis_, p, 0, kq);
+    rns_.q_mod_aux.push_back(q_basis_.product().mod_u64(p));
+  }
+  for (std::size_t i = 0; i < kq; ++i) {
+    const nt::Barrett64& ring = q_basis_.tower(i);
+    u64 b = 1;
+    for (u64 p : params_.aux_moduli) b = ring.mul(b, p % ring.modulus());
+    rns_.b_to_q.emplace_back(ext_basis_, ring.modulus(), kq, ext_basis_.size());
+    rns_.b_mod_q.push_back(b);
+    rns_.t_mod_q.emplace_back(params_.t % ring.modulus(), ring.modulus());
+    rns_.one_mod_q.emplace_back(1, ring.modulus());
+  }
+  rns_.round_t_q = poly::ScaledRound(q_basis_, params_.t);
 }
 
 poly::RnsPoly BfvContext::add(const poly::RnsPoly& a, const poly::RnsPoly& b) const {

@@ -45,6 +45,19 @@ struct BfvParams {
   [[nodiscard]] unsigned log_q() const;
 };
 
+/// Word-sized tables of BFV's host RNS phases (bfv.cpp), read off the
+/// mixed-radix digits of each coefficient: the centered base extension
+/// Q -> Q u B, the t/Q rounding back to Q, decryption and the relin digits.
+struct HostRnsTables {
+  std::vector<poly::RadixProjection> q_to_aux;  // x mod p_a from Q digits
+  std::vector<u64> q_mod_aux;                   // Q mod p_a
+  std::vector<poly::RadixProjection> b_to_q;    // y_B mod q_i from ext digits |Q|..
+  std::vector<u64> b_mod_q;                     // B mod q_i
+  std::vector<nt::ShoupMul> t_mod_q;            // x -> t x mod q_i
+  std::vector<nt::ShoupMul> one_mod_q;          // x -> x mod q_i for any u64 x
+  poly::ScaledRound round_t_q;                  // round(t x / Q) from Q digits
+};
+
 /// Precomputed context shared by keygen/encrypt/decrypt/evaluate.  Carries
 /// the execution policy every per-tower / per-coefficient hot loop drains
 /// through: serial by default (the bit-exact reference path), pooled when a
@@ -64,6 +77,7 @@ class BfvContext {
   /// Delta = floor(Q / t).
   [[nodiscard]] const BigInt& delta() const noexcept { return delta_; }
   [[nodiscard]] u64 delta_mod(std::size_t tower) const { return delta_mod_q_.at(tower); }
+  [[nodiscard]] const HostRnsTables& host_rns() const noexcept { return rns_; }
 
   // Tower engines are the fused/SIMD MergedNtt64 path (lazy-reduction
   // butterflies, Shoup twiddles, nt::simd dispatch).
@@ -103,6 +117,7 @@ class BfvContext {
   std::vector<poly::MergedNtt64> ext_ntt_;
   BigInt delta_{};
   std::vector<u64> delta_mod_q_;
+  HostRnsTables rns_;
   backend::Executor exec_;
 };
 

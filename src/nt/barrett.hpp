@@ -88,9 +88,11 @@ class Barrett64 {
   return static_cast<u64>((static_cast<u128>(w) << 64) / q);
 }
 
-/// Shoup precomputation for repeated multiplication by a fixed operand w:
-/// w' = shoup_constant(w, q).  mul_shoup(x) costs one 64x64 high product and
-/// one low product -- the software NTT hot path.
+/// Shoup precomputation for repeated multiplication by a fixed operand
+/// w < q < 2^63: w' = shoup_constant(w, q).  mul(x) costs one 64x64 high
+/// product and two low products and accepts any u64 x: w x - floor(w' x /
+/// 2^64) q lies in [0, 2q), so one conditional subtraction returns w x mod q.
+/// It is the constant multiplier of the mixed-radix CRT tables (poly/rns.hpp).
 class ShoupMul {
  public:
   ShoupMul() = default;

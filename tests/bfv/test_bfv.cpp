@@ -159,5 +159,34 @@ TEST(Bfv, RejectsBadInputs) {
   EXPECT_THROW((void)f.scheme.relinearize(ct, RelinKeys{}), std::invalid_argument);
 }
 
+TEST(Bfv, PlaintextOpsRejectMalformedPlaintexts) {
+  // add_plain/mul_plain read m.coeffs[j] for every j < n: a short plaintext
+  // was read out of bounds, and a coefficient >= t was embedded as is.
+  BfvFixture f;
+  const auto ct = f.scheme.encrypt(f.pk, f.random_plain(23));
+  Plaintext short_plain;
+  short_plain.coeffs.assign(1, 3);
+  EXPECT_THROW((void)f.scheme.add_plain(ct, short_plain), std::invalid_argument);
+  EXPECT_THROW((void)f.scheme.mul_plain(ct, short_plain), std::invalid_argument);
+  Plaintext too_big = f.random_plain(24);
+  too_big.coeffs.back() = f.scheme.context().t();
+  EXPECT_THROW((void)f.scheme.add_plain(ct, too_big), std::invalid_argument);
+  EXPECT_THROW((void)f.scheme.mul_plain(ct, too_big), std::invalid_argument);
+  EXPECT_THROW((void)f.scheme.encrypt(f.pk, too_big), std::invalid_argument);
+}
+
+TEST(Bfv, PooledEncryptRejectsCoefficientAtT) {
+  // The coefficient check runs once, before any pool task starts.
+  Bfv scheme(BfvParams::test_tiny(), 1, backend::ExecPolicy::pooled(2, 16));
+  const auto sk = scheme.keygen_secret();
+  const auto pk = scheme.keygen_public(sk);
+  Plaintext m;
+  m.coeffs.assign(scheme.context().n(), 0);
+  m.coeffs[5] = scheme.context().t();
+  EXPECT_THROW((void)scheme.encrypt(pk, m), std::invalid_argument);
+  m.coeffs[5] = scheme.context().t() - 1;
+  EXPECT_EQ(scheme.decrypt(sk, scheme.encrypt(pk, m)).coeffs, m.coeffs);
+}
+
 }  // namespace
 }  // namespace cofhee::bfv

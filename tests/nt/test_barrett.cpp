@@ -72,6 +72,21 @@ TEST(Shoup, MatchesBarrett) {
   }
 }
 
+TEST(Shoup, AcceptsAnyWordOperand) {
+  // The mixed-radix CRT feeds digits of other towers (and any u64 residue)
+  // straight into a Shoup product, so mul(x) must be exact for every x.
+  std::mt19937_64 rng(15);
+  for (u64 q : {u64{3}, u64{97}, find_ntt_prime_u64(40, 64), find_ntt_prime_u64(62, 64),
+                (u64{1} << 62) - 57}) {
+    for (int i = 0; i < 200; ++i) {
+      const u64 w = i == 0 ? q - 1 : rng() % q;
+      ShoupMul sm(w, q);
+      for (u64 x : {u64{0}, q - 1, q, ~u64{0}, ~u64{0} - 1, rng()})
+        EXPECT_EQ(sm.mul(x), static_cast<u64>(static_cast<u128>(w) * x % q));
+    }
+  }
+}
+
 TEST(Barrett128, ReduceMatchesWideModulo) {
   std::mt19937_64 rng(14);
   const u128 q109 = find_ntt_prime_u128(109, 4096);
